@@ -13,7 +13,6 @@
 #include "graph/markov.h"
 #include "graph/random_walk.h"
 #include "graph/walk_kernel.h"
-#include "graph/walk_layout.h"
 #include "bench/synthetic_walk_graph.h"
 #include "graph/subgraph.h"
 #include "linalg/svd.h"
@@ -159,11 +158,10 @@ BENCHMARK(BM_BatchRecommend)
 
 // Walk-kernel sweep at cache-boundary sizes on the synthetic expander
 // (bench/synthetic_walk_graph.h). Arg = target node count; pick args so
-// the value vector (8·nodes bytes) lands below and above L2 to see the
-// adaptive plan switch (the label records which plan BuildTransitions
-// picked). One "iteration" = BuildTransitions + CompileAbsorbingSweep +
-// a full τ = 15 ranking sweep — the per-query cost the serving path pays
-// on a cache miss.
+// the value vector (8·nodes bytes) lands below and above L2. One
+// "iteration" = BuildTransitions + CompileAbsorbingSweep + a full τ = 15
+// ranking sweep — the per-query cost the serving path pays on a cache
+// miss.
 void BM_WalkKernelSweep(benchmark::State& state) {
   const BipartiteGraph g =
       bench::MakeSyntheticWalkGraph(static_cast<int32_t>(state.range(0)));
@@ -174,53 +172,14 @@ void BM_WalkKernelSweep(benchmark::State& state) {
   WalkKernel kernel;
   constexpr int kTau = 15;
   for (auto _ : state) {
-    kernel.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
+    kernel.BuildTransitions(g, WalkNormalization::kRowStochastic);
     kernel.CompileAbsorbingSweep(absorbing, costs);
     kernel.SweepTruncatedItemValues(kTau, &value);
     benchmark::DoNotOptimize(value.data());
   }
-  state.SetLabel(kernel.sweep_strategy());
   state.SetItemsProcessed(state.iterations() * kTau * g.num_edges());
 }
 BENCHMARK(BM_WalkKernelSweep)
-    ->Arg(1 << 14)
-    ->Arg(1 << 17)
-    ->Arg(1 << 19)
-    ->Unit(benchmark::kMillisecond);
-
-// Steady-state flavour: the full WalkPlan (layout permutation +
-// transition CSR + sweep-plan selection) is built once — the
-// SubgraphCache admission cost — and every iteration adopts it, which is
-// exactly what a cache-hit query pays: AdoptPlan is two pointer stores,
-// then compile + sweep. Compare against BM_WalkKernelSweep at the same
-// size for the warm-path payoff; below the reorder threshold the layout
-// is null and only the transition-build saving remains.
-void BM_WalkKernelSweepCachedLayout(benchmark::State& state) {
-  const BipartiteGraph g =
-      bench::MakeSyntheticWalkGraph(static_cast<int32_t>(state.range(0)));
-  std::vector<bool> absorbing(g.num_nodes(), false);
-  for (NodeId nbr : g.Neighbors(0)) absorbing[nbr] = true;
-  const std::vector<double> costs(g.num_nodes(), 1.0);
-  std::vector<double> value;
-  const std::shared_ptr<const WalkLayout> layout =
-      BuildWalkLayoutIfBeneficial(g);
-  const std::shared_ptr<const WalkPlan> plan = [&] {
-    auto p = std::make_shared<WalkPlan>();
-    p->Build(g, WalkNormalization::kRowStochastic, layout);
-    return p;
-  }();
-  WalkKernel kernel;
-  constexpr int kTau = 15;
-  for (auto _ : state) {
-    kernel.AdoptPlan(plan);
-    kernel.CompileAbsorbingSweep(absorbing, costs);
-    kernel.SweepTruncatedItemValues(kTau, &value);
-    benchmark::DoNotOptimize(value.data());
-  }
-  state.SetLabel(kernel.sweep_strategy());
-  state.SetItemsProcessed(state.iterations() * kTau * g.num_edges());
-}
-BENCHMARK(BM_WalkKernelSweepCachedLayout)
     ->Arg(1 << 14)
     ->Arg(1 << 17)
     ->Arg(1 << 19)
@@ -250,8 +209,7 @@ void BM_WalkKernelFusedSweep(benchmark::State& state) {
   const std::vector<double> costs(g.num_nodes(), 1.0);
   const std::shared_ptr<const WalkPlan> plan = [&] {
     auto p = std::make_shared<WalkPlan>();
-    p->Build(g, WalkNormalization::kRowStochastic,
-             BuildWalkLayoutIfBeneficial(g));
+    p->Build(g, WalkNormalization::kRowStochastic);
     return p;
   }();
   std::vector<double> block;
@@ -263,7 +221,6 @@ void BM_WalkKernelFusedSweep(benchmark::State& state) {
     kernel.SweepTruncatedItemValuesBatch(kTau, &block);
     benchmark::DoNotOptimize(block.data());
   }
-  state.SetLabel(kernel.sweep_strategy());
   state.SetItemsProcessed(state.iterations() * kTau * g.num_edges() * width);
 }
 BENCHMARK(BM_WalkKernelFusedSweep)

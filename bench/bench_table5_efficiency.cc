@@ -123,24 +123,13 @@ struct KernelTimings {
   int32_t nodes = 0;
   int64_t edges = 0;
   int iterations = 0;
-  /// One DP value vector (8·nodes): the quantity the plan thresholds gate
-  /// on, and the deepest cache it fits in on this machine.
+  /// One DP value vector (8·nodes), and the deepest cache it fits in on
+  /// this machine.
   size_t value_bytes = 0;
   const char* cache_level = "";
-  /// Memory-layout plan BuildTransitions picked for this size (the
-  /// tentpole's measured dimension): simple / blocked / blocked_reordered,
-  /// whether the CSR was permuted, and the L1 row tile.
-  const char* layout_strategy = "";
-  bool reordered = false;
-  int32_t row_tile = 0;
   double reference_ns_per_iteration = 0.0;
   double kernel_full_ns_per_iteration = 0.0;
   double kernel_ranking_ns_per_iteration = 0.0;
-  /// Steady-state serving path: ranking sweep over a layout pre-built at
-  /// SubgraphCache admission (the permutation is outside the timed loop,
-  /// exactly as a cache hit amortizes it).
-  double kernel_cached_ns_per_iteration = 0.0;
-  const char* cached_strategy = "";
   double reference_rows_per_second = 0.0;
   double kernel_rows_per_second = 0.0;
   /// Production headline: reference loop vs the ranking sweep that now
@@ -149,9 +138,7 @@ struct KernelTimings {
   /// Like-for-like full-DP comparison (both sides, every iteration). CI
   /// asserts >= 0.98 at every size (scripts/compare_bench.py).
   double full_vs_reference_speedup = 0.0;
-  /// Reference vs the cached-layout ranking path.
-  double cached_speedup = 0.0;
-  /// Fused multi-query ladder on the cached plan: per-query cost of
+  /// Fused multi-query ladder on a shared, pre-built plan: per-query cost of
   /// sweeping K interleaved lanes through one CSR pass per iteration,
   /// versus K sequential width-1 sweeps. speedup_vs_width1 > 1 means the
   /// stream amortized; it grows with width until the K-strided value
@@ -174,10 +161,10 @@ const char* CacheLevelOf(size_t bytes) {
 }
 
 
-/// Times the four sweep configurations on one graph. Configurations are
+/// Times the three sweep configurations on one graph. Configurations are
 /// interleaved round-robin; absolute ns/iteration figures take the
 /// minimum window per configuration, while the speedup ratios take the
-/// *median of per-round ratios* — a round's four windows are adjacent in
+/// *median of per-round ratios* — a round's three windows are adjacent in
 /// time, so slow VM phases (steal bursts on shared 1-core CI runners)
 /// inflate numerator and denominator together and cancel, where a ratio
 /// of cross-round minima would compare windows from different phases.
@@ -197,23 +184,7 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
   const double once = calibrate.ElapsedSeconds();
   const int reps = std::max(2, static_cast<int>(0.06 / std::max(1e-6, once)));
 
-  // The cached configuration adopts a full WalkPlan built once, up front —
-  // exactly what SubgraphCache admission does, so the timed loop below is
-  // the serving warm path: AdoptPlan (two pointer stores) + compile +
-  // sweep, zero O(E) transition builds. The layout is null below the
-  // reorder threshold (then the plan is the plain auto plan, i.e.
-  // cache-hit == cold plan parity).
-  const std::shared_ptr<const WalkLayout> cached_layout =
-      BuildWalkLayoutIfBeneficial(g);
-  const std::shared_ptr<const WalkPlan> cached_plan = [&] {
-    auto p = std::make_shared<WalkPlan>();
-    p->Build(g, WalkNormalization::kRowStochastic, cached_layout);
-    return p;
-  }();
-  WalkKernel cached_kernel;
-
-  std::vector<double> ref_t(rounds), full_t(rounds), rank_t(rounds),
-      cache_t(rounds);
+  std::vector<double> ref_t(rounds), full_t(rounds), rank_t(rounds);
   double checksum_ref = 0.0, checksum_full = 0.0;
   for (int round = 0; round < rounds; ++round) {
     {
@@ -239,21 +210,11 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
     {
       WallTimer t;
       for (int r = 0; r < reps; ++r) {
-        kernel.BuildTransitions(g,
-                                WalkKernel::Normalization::kRowStochastic);
+        kernel.BuildTransitions(g, WalkNormalization::kRowStochastic);
         kernel.CompileAbsorbingSweep(absorbing, costs);
         kernel.SweepTruncatedItemValues(tau, &value);
       }
       rank_t[round] = t.ElapsedSeconds();
-    }
-    {
-      WallTimer t;
-      for (int r = 0; r < reps; ++r) {
-        cached_kernel.AdoptPlan(cached_plan);
-        cached_kernel.CompileAbsorbingSweep(absorbing, costs);
-        cached_kernel.SweepTruncatedItemValues(tau, &value);
-      }
-      cache_t[round] = t.ElapsedSeconds();
     }
   }
   const auto min_of = [](const std::vector<double>& t) {
@@ -271,7 +232,6 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
   const double ref_seconds = min_of(ref_t);
   const double full_seconds = min_of(full_t);
   const double ranking_seconds = min_of(rank_t);
-  const double cached_seconds = min_of(cache_t);
   // Parity is enforced by tests; the checksum just keeps the compiler
   // honest about running both loops.
   LT_CHECK(std::abs(checksum_ref - checksum_full) <=
@@ -284,29 +244,26 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
   row.iterations = tau;
   row.value_bytes = static_cast<size_t>(n) * sizeof(double);
   row.cache_level = CacheLevelOf(row.value_bytes);
-  // The kernel still holds the plan its last BuildTransitions picked.
-  row.layout_strategy = kernel.sweep_strategy();
-  row.reordered = kernel.reordered();
-  row.row_tile = kernel.row_tile();
-  row.cached_strategy = cached_kernel.sweep_strategy();
   const double sweeps = static_cast<double>(reps) * tau;
   row.reference_ns_per_iteration = 1e9 * ref_seconds / sweeps;
   row.kernel_full_ns_per_iteration = 1e9 * full_seconds / sweeps;
   row.kernel_ranking_ns_per_iteration = 1e9 * ranking_seconds / sweeps;
-  row.kernel_cached_ns_per_iteration = 1e9 * cached_seconds / sweeps;
   row.reference_rows_per_second = n * sweeps / ref_seconds;
   row.kernel_rows_per_second = n * sweeps / ranking_seconds;
   row.speedup = median_speedup(rank_t);
   row.full_vs_reference_speedup = median_speedup(full_t);
-  row.cached_speedup = median_speedup(cache_t);
 
-  // Fused multi-query ladder, all on the cached plan (the serving warm
-  // path, where fusion actually engages). Widths interleave round-robin
-  // like the configurations above so per-round ratios cancel slow VM
-  // phases; reps scale down with width to keep windows comparable. Width
-  // 16 is measured even where the runtime cap would stop at 8 — the
+  // Fused multi-query ladder, all on one plan built up front and adopted
+  // per rep — exactly what SubgraphCache admission and a cache hit do (the
+  // serving warm path, where fusion actually engages). Widths interleave
+  // round-robin like the configurations above so per-round ratios cancel
+  // slow VM phases; reps scale down with width to keep windows comparable.
+  // Width 16 is measured even where the runtime cap would stop at 8 — the
   // ladder is how the cap rule is validated empirically.
   {
+    auto cached_plan = std::make_shared<WalkPlan>();
+    cached_plan->Build(g, WalkNormalization::kRowStochastic);
+    WalkKernel cached_kernel;
     const int32_t widths[] = {1, 2, 4, 8, 16};
     constexpr int kFusedRounds = 3;
     std::vector<std::vector<bool>> lanes;
@@ -343,14 +300,12 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
       row.fused.push_back(rung);
     }
   }
-  std::printf(
-      "%12s %8d %10lld %4s %18s %11.0f %11.0f %11.0f %11.0f %7.2fx %7.2fx "
-      "%7.2fx\n",
-      row.name.c_str(), row.nodes, static_cast<long long>(row.edges),
-      row.cache_level, row.cached_strategy, row.reference_ns_per_iteration,
-      row.kernel_full_ns_per_iteration, row.kernel_ranking_ns_per_iteration,
-      row.kernel_cached_ns_per_iteration, row.full_vs_reference_speedup,
-      row.speedup, row.cached_speedup);
+  std::printf("%12s %8d %10lld %4s %11.0f %11.0f %11.0f %7.2fx %7.2fx\n",
+              row.name.c_str(), row.nodes, static_cast<long long>(row.edges),
+              row.cache_level, row.reference_ns_per_iteration,
+              row.kernel_full_ns_per_iteration,
+              row.kernel_ranking_ns_per_iteration,
+              row.full_vs_reference_speedup, row.speedup);
   std::printf("%12s   fused per-query ns/it:", "");
   for (const KernelTimings::FusedRung& rung : row.fused) {
     std::printf("  w%-2d %9.0f (%4.2fx)", rung.width,
@@ -364,9 +319,7 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
 /// spanning the machine's cache boundaries: µ-capped extractions from the
 /// corpus (µ/4 up to the uncapped reachable component) plus synthetic
 /// rungs sized off the measured geometry so the value vector crosses L2 —
-/// the region where the reordered layout plan engages. Each row records
-/// the plan BuildTransitions picked, so the JSON shows the measured
-/// crossover points, not just the configured thresholds.
+/// the bandwidth-bound region the fused sweep exists for.
 std::vector<KernelTimings> RunKernelBench(const Dataset& d, int tau) {
   const BipartiteGraph graph = BipartiteGraph::FromDataset(d, true);
   // The busiest user seeds the largest (most representative) subgraphs.
@@ -395,16 +348,13 @@ std::vector<KernelTimings> RunKernelBench(const Dataset& d, int tau) {
     WalkKernel probe_kernel;
     std::printf(
         "\n# walk kernel (truncated sweep, tau = %d, single thread, "
-        "isa = %s,\n#              L1d %zuK / L2 %zuK / L3 %zuM, row tile "
-        "%d)\n\n",
+        "isa = %s,\n#              L1d %zuK / L2 %zuK / L3 %zuM)\n\n",
         tau, probe_kernel.isa_name(), geo.l1d_bytes / 1024,
-        geo.l2_bytes / 1024, geo.l3_bytes / (1024 * 1024),
-        WalkKernel::BlockedPlanRowTile());
+        geo.l2_bytes / 1024, geo.l3_bytes / (1024 * 1024));
   }
-  std::printf("%12s %8s %10s %4s %18s %11s %11s %11s %11s %8s %8s %8s\n",
-              "subgraph", "nodes", "edges", "fits", "steady layout",
-              "ref ns/it", "full ns/it", "rank ns/it", "cache ns/it",
-              "full x", "rank x", "cache x");
+  std::printf("%12s %8s %10s %4s %11s %11s %11s %8s %8s\n", "subgraph",
+              "nodes", "edges", "fits", "ref ns/it", "full ns/it",
+              "rank ns/it", "full x", "rank x");
   std::vector<KernelTimings> rows;
   for (const auto& size : sizes) {
     SubgraphOptions sub_options;
@@ -425,12 +375,10 @@ std::vector<KernelTimings> RunKernelBench(const Dataset& d, int tau) {
         BenchKernelGraph(size.name, sub.graph, absorbing, tau, /*rounds=*/7));
   }
 
-  // Synthetic cache-boundary rungs: value vector at half of L2 (blocked,
-  // identity order) and at 3x L2 (past the reorder threshold). Sized from
-  // the measured geometry so they land on the boundary on any machine;
-  // capped so a huge-L2 host cannot make the smoke run unbounded. Fewer
-  // timing rounds: at these sizes each round is hundreds of milliseconds
-  // and the min-of-rounds noise floor is already low.
+  // Synthetic cache-boundary rungs: value vector at half of L2 and at 3x
+  // L2 (bandwidth-bound). Sized from the measured geometry so they land on
+  // the boundary on any machine; capped so a huge-L2 host cannot make the
+  // smoke run unbounded.
   const struct {
     const char* name;
     size_t value_bytes;
@@ -465,64 +413,25 @@ void WriteKernelJsonSection(std::FILE* f,
                "    \"cache_geometry\": {\"l1d_bytes\": %zu, "
                "\"l2_bytes\": %zu, \"l3_bytes\": %zu},\n",
                geo.l1d_bytes, geo.l2_bytes, geo.l3_bytes);
-  // The configured plan thresholds (docs/KERNELS.md "Tuning"), alongside
-  // the measured crossovers below so a drifted machine is visible.
-  std::fprintf(f,
-               "    \"thresholds\": {\"simple_max_value_bytes\": %zu, "
-               "\"reorder_value_bytes_above\": %zu, "
-               "\"reorder_min_entries_per_node\": 2, \"row_tile_rows\": "
-               "%d},\n",
-               WalkKernel::SimplePlanMaxValueBytes(), geo.l2_bytes,
-               WalkKernel::BlockedPlanRowTile());
-  // Measured crossover points: the smallest swept size where the cost
-  // probe left the simple plan, and where the cached (steady-state
-  // serving) plan starts reordering.
-  int32_t to_blocked = 0, to_reordered = 0;
-  for (const KernelTimings& r : rows) {
-    if (to_blocked == 0 && std::string(r.layout_strategy) != "simple") {
-      to_blocked = r.nodes;
-    }
-    if (to_reordered == 0 &&
-        std::string(r.cached_strategy) == "blocked_reordered") {
-      to_reordered = r.nodes;
-    }
-  }
-  std::fprintf(f, "    \"crossovers\": {\"simple_to_blocked_nodes\": ");
-  if (to_blocked > 0) {
-    std::fprintf(f, "%d", to_blocked);
-  } else {
-    std::fprintf(f, "null");
-  }
-  std::fprintf(f, ", \"reorder_nodes\": ");
-  if (to_reordered > 0) {
-    std::fprintf(f, "%d", to_reordered);
-  } else {
-    std::fprintf(f, "null");
-  }
-  std::fprintf(f, "},\n    \"sweeps\": [\n");
+  std::fprintf(f, "    \"sweeps\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const KernelTimings& r = rows[i];
     std::fprintf(
         f,
         "      {\"name\": \"%s\", \"nodes\": %d, \"edges\": %lld, "
         "\"iterations\": %d, \"value_bytes\": %zu, "
-        "\"cache_level\": \"%s\", \"layout\": {\"strategy\": \"%s\", "
-        "\"reordered\": %s, \"row_tile\": %d, \"cached_strategy\": "
-        "\"%s\"}, \"reference_ns_per_iteration\": %.1f, "
+        "\"cache_level\": \"%s\", \"reference_ns_per_iteration\": %.1f, "
         "\"kernel_full_ns_per_iteration\": %.1f, "
         "\"kernel_ranking_ns_per_iteration\": %.1f, "
-        "\"kernel_cached_ns_per_iteration\": %.1f, "
         "\"reference_rows_per_second\": %.0f, "
         "\"kernel_rows_per_second\": %.0f, "
         "\"full_vs_reference_speedup\": %.2f, \"speedup\": %.2f, "
-        "\"cached_speedup\": %.2f, \"fused\": [",
+        "\"fused\": [",
         r.name.c_str(), r.nodes, static_cast<long long>(r.edges),
-        r.iterations, r.value_bytes, r.cache_level, r.layout_strategy,
-        r.reordered ? "true" : "false", r.row_tile, r.cached_strategy,
+        r.iterations, r.value_bytes, r.cache_level,
         r.reference_ns_per_iteration, r.kernel_full_ns_per_iteration,
-        r.kernel_ranking_ns_per_iteration, r.kernel_cached_ns_per_iteration,
-        r.reference_rows_per_second, r.kernel_rows_per_second,
-        r.full_vs_reference_speedup, r.speedup, r.cached_speedup);
+        r.kernel_ranking_ns_per_iteration, r.reference_rows_per_second,
+        r.kernel_rows_per_second, r.full_vs_reference_speedup, r.speedup);
     for (size_t j = 0; j < r.fused.size(); ++j) {
       const KernelTimings::FusedRung& rung = r.fused[j];
       std::fprintf(f,

@@ -67,7 +67,6 @@ KERNEL_SWEEP_RATES = (
     "kernel_rows_per_second",
     "speedup",
     "full_vs_reference_speedup",
-    "cached_speedup",
 )
 ALGORITHM_RATES = ("batch_users_per_second",)
 # Fused-ladder fields diffed per width inside each kernel sweep row.

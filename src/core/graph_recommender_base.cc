@@ -200,20 +200,15 @@ Status GraphRecommenderBase::ComputeWalk(UserId user, WalkWorkspace* ws,
     // depend on (bit-identical item values, half the edge work). User rows
     // of ws->values hold intermediates and must not be read.
     if (sub.plan != nullptr) {
-      // Warm path: the cache payload carries the plan built at admission
-      // (transitions + sweep-plan selection + layout binding). Adoption is
-      // two pointer stores — the query's only remaining per-node work is
-      // the coefficient compile below. Bit-identical to the cold branch:
-      // the admission build ran the same decision procedure on the same
-      // graph and layout.
+      // Warm path: the cache payload carries the plan built at admission.
+      // Adoption is two pointer stores — the query's only remaining
+      // per-node work is the coefficient compile below. Bit-identical to
+      // the cold branch: the admission build bound the same graph.
       ws->kernel.AdoptPlan(sub.plan);
     } else {
-      // Cold path: fresh extraction — rebuild the kernel's own plan. A
-      // cache-borne layout (sub.layout) would make it sweep the
-      // pre-permuted CSR, but fresh extractions have none.
+      // Cold path: fresh extraction — rebuild the kernel's own plan.
       ws->kernel.BuildTransitions(sub.graph,
-                                  WalkKernel::Normalization::kRowStochastic,
-                                  sub.layout);
+                                  WalkNormalization::kRowStochastic);
     }
     ws->kernel.CompileAbsorbingSweep(ws->absorbing, ws->node_costs);
     ws->kernel.SweepTruncatedItemValues(options_.iterations, &ws->values);
@@ -336,8 +331,7 @@ void GraphRecommenderBase::RunFusedGroup(std::span<const UserQuery> queries,
   if (sub.plan != nullptr) {
     ws->kernel.AdoptPlan(sub.plan);
   } else {
-    ws->kernel.BuildTransitions(
-        sub.graph, WalkKernel::Normalization::kRowStochastic, sub.layout);
+    ws->kernel.BuildTransitions(sub.graph, WalkNormalization::kRowStochastic);
   }
   const int32_t n = sub.graph.num_nodes();
   int32_t cap = WalkKernel::FusedWidthCap(n);
@@ -389,10 +383,10 @@ std::vector<UserQueryResult> GraphRecommenderBase::QueryBatch(
   if (queries.empty()) return results;
   ServingPool& pool =
       options.pool != nullptr ? *options.pool : ServingPool::Global();
-  if (options_.exact || options.max_fused_width == 1) {
-    // The exact solver has no fused path, and width 1 disables grouping:
-    // dispatch per query, claimed one at a time (grain 1) so skewed
-    // subgraph sizes stay balanced, each thread on its pinned workspace.
+  if (options_.exact) {
+    // The exact solver has no fused path: dispatch per query, claimed one
+    // at a time (grain 1) so skewed subgraph sizes stay balanced, each
+    // thread on its pinned workspace.
     pool.ParallelFor(
         queries.size(),
         [&](size_t i) {

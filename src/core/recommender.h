@@ -72,16 +72,15 @@ struct BatchOptions {
   /// whose seed sets are identical share one subgraph and sweep as K
   /// interleaved lanes of a single CSR pass (see docs/KERNELS.md). 0 =
   /// probe the cap from the machine's cache geometry
-  /// (WalkKernel::FusedWidthCap), 1 = disable grouping entirely (the
-  /// pre-fusion per-query dispatch), otherwise an explicit ceiling.
-  /// Results are bit-identical at every setting; other recommenders
-  /// ignore it.
+  /// (WalkKernel::FusedWidthCap), otherwise an explicit ceiling (1 = every
+  /// query sweeps alone, still grouped onto its shared subgraph). Results
+  /// are bit-identical at every setting; other recommenders ignore it.
   int32_t max_fused_width = 0;
   /// Optional observer invoked once per dispatched fused sweep with its
   /// width (1 for queries that found no partner). May be called
   /// concurrently from pool workers; the ServingEngine points this at its
-  /// longtail_engine_fused_width histogram. Not called on the
-  /// max_fused_width == 1 fallback path or by non-graph recommenders.
+  /// longtail_engine_fused_width histogram. Not called for exact-solver
+  /// walkers or by non-graph recommenders.
   const std::function<void(int32_t width)>* fused_width_observer = nullptr;
 };
 

@@ -87,7 +87,7 @@ void AbsorbingValueTruncated(const BipartiteGraph& g,
   // serving path never comes through here — cached subgraphs carry an
   // admission-built WalkPlan the kernel adopts instead (see
   // graph_recommender_base.cc ComputeWalk).
-  kernel->BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
+  kernel->BuildTransitions(g, WalkNormalization::kRowStochastic);
   kernel->CompileAbsorbingSweep(absorbing, node_cost);
   kernel->SweepTruncated(iterations, value, scratch);
 }

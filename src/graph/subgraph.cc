@@ -104,8 +104,8 @@ NodeId Subgraph::LocalItemNode(ItemId global_item) const {
 void WalkWorkspace::AdoptSharedSubgraph(std::shared_ptr<const Subgraph> src) {
   LT_CHECK(src != nullptr && src->node_index.built())
       << "shared adoption needs an admission-built payload node index";
-  // The whole point: one pointer store. The payload keeps graph, layout,
-  // plan and node index alive together; nothing is copied or rebuilt.
+  // The whole point: one pointer store. The payload keeps graph, plan and
+  // node index alive together; nothing is copied or rebuilt.
   shared_sub_ = std::move(src);
 }
 
@@ -127,35 +127,6 @@ void WalkWorkspace::BeginQuery(const BipartiteGraph& g) {
   }
 }
 
-void WalkWorkspace::AdoptSubgraph(const BipartiteGraph& g,
-                                  const Subgraph& src) {
-  BeginQuery(g);
-  sub_.workspace_ = this;
-  sub_.users = src.users;
-  sub_.items = src.items;
-  sub_.graph = src.graph;
-  // Shared, immutable: adopting the layout is a pointer copy — the
-  // permutation was paid once, when the cache admitted the payload.
-  sub_.layout = src.layout;
-  // The plan is NOT carried over: it points into src's graph, which this
-  // deep copy does not keep alive. The copy path rebuilds transitions.
-  sub_.plan.reset();
-  sub_.node_index.Clear();
-  sub_.global_user_to_local.clear();
-  sub_.global_item_to_local.clear();
-  for (size_t lu = 0; lu < sub_.users.size(); ++lu) {
-    const NodeId gv = g.UserNode(sub_.users[lu]);
-    stamp_[gv] = epoch_;
-    local_id_[gv] = static_cast<int32_t>(lu);
-  }
-  const int32_t num_local_users = static_cast<int32_t>(sub_.users.size());
-  for (size_t li = 0; li < sub_.items.size(); ++li) {
-    const NodeId gv = g.ItemNode(sub_.items[li]);
-    stamp_[gv] = epoch_;
-    local_id_[gv] = num_local_users + static_cast<int32_t>(li);
-  }
-}
-
 Subgraph& ExtractSubgraphInto(const BipartiteGraph& g,
                               const std::vector<NodeId>& seed_nodes,
                               const SubgraphOptions& options,
@@ -168,10 +139,8 @@ Subgraph& ExtractSubgraphInto(const BipartiteGraph& g,
   sub.items.clear();
   sub.global_user_to_local.clear();
   sub.global_item_to_local.clear();
-  // A fresh extraction has no layout, plan or node index; the
-  // SubgraphCache builds all three when (and only when) it admits this
-  // subgraph as a payload.
-  sub.layout.reset();
+  // A fresh extraction has no plan or node index; the SubgraphCache builds
+  // both when (and only when) it admits this subgraph as a payload.
   sub.plan.reset();
   sub.node_index.Clear();
 

@@ -16,9 +16,9 @@
 //    state performs zero global-sized heap allocation per query.
 //  * AdoptSharedSubgraph — the zero-copy warm path: the workspace takes a
 //    shared_ptr to an immutable SubgraphCache payload (graph + id lists +
-//    WalkLayout + WalkPlan + SubgraphNodeIndex, all built once at
-//    admission) and performs no per-query work at all — no graph copy, no
-//    table rebuild, no transition build. Queries answer id lookups from
+//    WalkPlan + SubgraphNodeIndex, all built once at admission) and
+//    performs no per-query work at all — no graph copy, no table rebuild,
+//    no transition build. Queries answer id lookups from
 //    the payload's compact node index and sweep the payload's shared plan.
 #ifndef LONGTAIL_GRAPH_SUBGRAPH_H_
 #define LONGTAIL_GRAPH_SUBGRAPH_H_
@@ -29,7 +29,6 @@
 
 #include "graph/bipartite_graph.h"
 #include "graph/walk_kernel.h"
-#include "graph/walk_layout.h"
 #include "linalg/solvers.h"
 
 namespace longtail {
@@ -83,18 +82,15 @@ struct Subgraph {
   std::vector<UserId> users;
   /// local item id → global ItemId.
   std::vector<ItemId> items;
-  /// Optional cache-aware layout of `graph` (see walk_layout.h), built once
-  /// when a SubgraphCache admits the payload and shared by every adopter —
-  /// the walk plan sweeps the permuted CSR without re-permuting. Null for
-  /// fresh extractions and below-threshold graphs.
+  /// Always null. Kept only so bench/e2e/e2e_trace.h, which passes it to
+  /// WalkKernel::BuildTransitions, still compiles.
   std::shared_ptr<const WalkLayout> layout;
-  /// The immutable walk plan for `graph` (row-stochastic transitions +
-  /// sweep-plan selection + `layout` binding), built once at SubgraphCache
-  /// admission. Non-null only on cache payloads; adopters bind to it via
-  /// WalkKernel::AdoptPlan instead of running BuildTransitions. The plan
-  /// points into this Subgraph's own graph/layout, so it is only valid
-  /// while the payload is alive — holders must keep the payload
-  /// shared_ptr, which is exactly what AdoptSharedSubgraph does.
+  /// The immutable row-stochastic walk plan for `graph`, built once at
+  /// SubgraphCache admission. Non-null only on cache payloads; adopters
+  /// bind to it via WalkKernel::AdoptPlan instead of running
+  /// BuildTransitions. The plan points into this Subgraph's own graph, so
+  /// it is only valid while the payload is alive — holders must keep the
+  /// payload shared_ptr, which is exactly what AdoptSharedSubgraph does.
   std::shared_ptr<const WalkPlan> plan;
   /// Compact global→local index, built at admission alongside `plan`.
   /// Empty on fresh extractions (the workspace's stamped tables answer
@@ -150,29 +146,17 @@ class WalkWorkspace {
 
   /// The current subgraph: the shared payload after AdoptSharedSubgraph,
   /// otherwise the workspace-owned subgraph of the most recent
-  /// ExtractSubgraphInto / AdoptSubgraph call.
+  /// ExtractSubgraphInto call.
   const Subgraph& sub() const {
     return shared_sub_ != nullptr ? *shared_sub_ : sub_;
   }
 
   /// Zero-copy adoption of an immutable SubgraphCache payload: stores the
-  /// shared_ptr — keeping the payload's graph, layout, plan and node index
-  /// alive — and nothing else. No O(E) graph copy, no O(V) table rebuild;
+  /// shared_ptr — keeping the payload's graph, plan and node index alive —
+  /// and nothing else. No O(E) graph copy, no O(V) table rebuild;
   /// id lookups answer from the payload's node index (which must be
   /// built, checked). This is the warm serving path.
   void AdoptSharedSubgraph(std::shared_ptr<const Subgraph> src);
-
-  /// Installs a deep copy of `src` — an induced subgraph of `g` — as this
-  /// workspace's current subgraph, rebuilding the epoch-stamped
-  /// global→local tables. Equivalent to (and bit-identical with)
-  /// re-running ExtractSubgraphInto with the seeds that produced `src`,
-  /// but costs one sequential copy instead of a BFS + induced-CSR rebuild.
-  /// Kept for callers that need a workspace-owned copy outliving `src`
-  /// (and as the pre-shared-payload baseline the copy-counter test pins);
-  /// the serving path uses AdoptSharedSubgraph instead. `src`'s layout is
-  /// shared by pointer; its plan is NOT carried over — the plan points
-  /// into `src`'s graph, which this copy does not keep alive.
-  void AdoptSubgraph(const BipartiteGraph& g, const Subgraph& src);
 
   /// Local node id of a global node in the current subgraph; -1 if absent
   /// or out of range. Valid only for the most recent extraction/adoption

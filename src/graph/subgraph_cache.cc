@@ -17,11 +17,10 @@ size_t RoundUpPow2(size_t v) {
 }
 
 /// Bytes of the admission-built plan structures: the WalkPlan's owned
-/// storage (materialized transition values, if any — identity-order
-/// row-stochastic plans normalize on the fly, and layout-backed plans
-/// borrow the layout's row_prob, so this is usually just the struct) plus
-/// the compact node index. Reported as its own gauge so the memory cost of
-/// the zero-copy warm path stays visible next to the CSR it annotates.
+/// storage (just the struct — row-stochastic plans normalize on the fly)
+/// plus the compact node index. Reported as its own gauge so the memory
+/// cost of the zero-copy warm path stays visible next to the CSR it
+/// annotates.
 size_t PlanBytes(const Subgraph& sub) {
   size_t bytes = sub.node_index.bytes();
   if (sub.plan != nullptr) bytes += sub.plan->OwnedBytes();
@@ -29,9 +28,8 @@ size_t PlanBytes(const Subgraph& sub) {
 }
 
 /// Resident payload estimate: the CSR (adjacency + weights + row pointers +
-/// weighted degrees) dominates; id maps, seeds, the optional walk layout
-/// (permutation + permuted CSR + transition values) and the plan + node
-/// index ride along.
+/// weighted degrees) dominates; id maps, seeds and the plan + node index
+/// ride along.
 size_t PayloadBytes(const Subgraph& sub, size_t num_seeds) {
   const size_t nodes = static_cast<size_t>(sub.graph.num_nodes());
   const size_t entries = 2 * static_cast<size_t>(sub.graph.num_edges());
@@ -40,19 +38,12 @@ size_t PayloadBytes(const Subgraph& sub, size_t num_seeds) {
                  sub.users.size() * sizeof(UserId) +
                  sub.items.size() * sizeof(ItemId) +
                  num_seeds * sizeof(NodeId) + 128;  // entry bookkeeping
-  if (sub.layout != nullptr) {
-    bytes += sub.layout->perm.size() * sizeof(int32_t) +
-             sub.layout->ptr.size() * sizeof(int64_t) +
-             sub.layout->col.size() * sizeof(NodeId) +
-             sub.layout->row_prob.size() * sizeof(double);
-  }
   return bytes + PlanBytes(sub);
 }
 
 }  // namespace
 
 SubgraphCache::SubgraphCache(SubgraphCacheOptions options) {
-  always_build_layout_ = options.always_build_layout;
   const size_t num_shards = RoundUpPow2(std::max<size_t>(1, options.num_shards));
   shard_mask_ = num_shards - 1;
   const size_t max_entries = std::max(options.max_entries, num_shards);
@@ -135,30 +126,21 @@ bool SubgraphCache::Matches(const Entry& e, uint64_t fingerprint,
 }
 
 std::shared_ptr<const Subgraph> SubgraphCache::DetachPayload(
-    const WalkWorkspace& ws) const {
+    const WalkWorkspace& ws) {
   // Reverse-lookup tables stay empty: adopters answer global→local queries
   // from the compact node index built below.
   auto sub = std::make_shared<Subgraph>();
   sub->graph = ws.sub().graph.CompactCopy();
   sub->users = ws.sub().users;
   sub->items = ws.sub().items;
-  // The one-time layout build: every adopter of this payload (and the
-  // leader itself) sweeps the permuted CSR without re-permuting.
-  if (always_build_layout_ && sub->graph.num_nodes() > 0) {
-    auto layout = std::make_shared<WalkLayout>();
-    BuildWalkLayout(sub->graph, /*with_row_prob=*/true, layout.get());
-    sub->layout = std::move(layout);
-  } else {
-    sub->layout = BuildWalkLayoutIfBeneficial(sub->graph);
-  }
   // Admission-time plan build — the heart of the zero-copy warm path. The
-  // plan binds the payload's *own* graph and layout (it must: it points
-  // into their arrays, and payload + plan live and die together), with the
-  // same decision procedure BuildTransitions runs, so adopters sweeping it
-  // are bit-identical to a cold extraction. After this, no adopter ever
-  // runs BuildTransitions for this subgraph again.
+  // plan binds the payload's *own* graph (it must: it points into its
+  // arrays, and payload + plan live and die together), exactly as
+  // BuildTransitions would, so adopters sweeping it are bit-identical to a
+  // cold extraction. After this, no adopter ever runs BuildTransitions for
+  // this subgraph again.
   auto plan = std::make_shared<WalkPlan>();
-  plan->Build(sub->graph, WalkNormalization::kRowStochastic, sub->layout);
+  plan->Build(sub->graph, WalkNormalization::kRowStochastic);
   sub->plan = std::move(plan);
   sub->node_index.Build(ws.num_global_users(), ws.num_global_items(), *sub);
   return sub;
@@ -253,8 +235,8 @@ void SubgraphCache::GetOrExtract(const BipartiteGraph& g,
       ExtractSubgraphInto(g, seeds, options, ws);
       std::shared_ptr<const Subgraph> payload = DetachPayload(*ws);
       // The leader swaps its raw extraction for the payload it is about to
-      // publish, so its own walk sweeps the exact plan (and layout) every
-      // waiter and later hit will share.
+      // publish, so its own walk sweeps the exact plan every waiter and
+      // later hit will share.
       ws->AdoptSharedSubgraph(payload);
       {
         // LRU first, ticket erase second: a thread arriving in between

@@ -7,13 +7,13 @@
 // rebuild byte-identical induced CSRs. The cache keys an entry by the exact
 // extraction inputs (graph fingerprint, seed sequence, µ) and stores an
 // immutable payload holding everything a query needs: the extracted
-// subgraph, its WalkLayout, its WalkPlan (transitions + sweep plan, built
-// exactly once at admission) and a compact global→local node index. A hit
-// installs the payload into the caller's WalkWorkspace via
-// WalkWorkspace::AdoptSharedSubgraph — a single shared_ptr store, zero
-// O(E)/O(V) work; the query then compiles + sweeps against the shared plan
-// with private scratch. Results are bit-identical to a fresh extraction
-// (enforced by tests/subgraph_cache_test.cc and tests/warm_plan_test.cc).
+// subgraph, its WalkPlan (built exactly once at admission) and a compact
+// global→local node index. A hit installs the payload into the caller's
+// WalkWorkspace via WalkWorkspace::AdoptSharedSubgraph — a single
+// shared_ptr store, zero O(E)/O(V) work; the query then compiles + sweeps
+// against the shared plan with private scratch. Results are bit-identical
+// to a fresh extraction (enforced by tests/subgraph_cache_test.cc and
+// tests/warm_plan_test.cc).
 //
 // Single flight: GetOrExtract is the serving path's front door. The first
 // thread to miss a key becomes the *leader* — it registers an in-flight
@@ -61,11 +61,6 @@ struct SubgraphCacheOptions {
   /// Optional resident-payload byte budget across all shards (0 = entry
   /// count only). Evicts LRU entries while a shard exceeds its slice.
   size_t max_bytes = 0;
-  /// Build a walk layout (walk_layout.h) for every admitted payload, not
-  /// just those past the reorder threshold. Production leaves this false —
-  /// small subgraphs gain nothing from reordering; tests set it to exercise
-  /// the layout-adoption path on CI-sized graphs.
-  bool always_build_layout = false;
 };
 
 struct SubgraphCacheStats {
@@ -225,13 +220,12 @@ class SubgraphCache {
                       std::span<const NodeId> seeds, int32_t max_items);
   /// Detaches a self-contained copy of the workspace's current subgraph
   /// (the payload format entries and tickets share) and finishes it for
-  /// zero-copy adoption: builds its walk layout when the subgraph crosses
-  /// the reorder threshold (or always, under options.always_build_layout),
-  /// then the full WalkPlan (row-stochastic transitions + sweep-plan
-  /// selection, bound to the payload's own graph/layout) and the compact
-  /// global→local node index. This is the *only* place plans are built for
-  /// cached subgraphs — every adopter shares this one.
-  std::shared_ptr<const Subgraph> DetachPayload(const WalkWorkspace& ws) const;
+  /// zero-copy adoption: builds its row-stochastic WalkPlan (bound to the
+  /// payload's own graph) and the compact global→local node index. This is
+  /// the *only* place plans are built for cached subgraphs — every adopter
+  /// shares this one.
+  static std::shared_ptr<const Subgraph> DetachPayload(
+      const WalkWorkspace& ws);
   /// Inserts `sub` under `key`, refreshing recency if an identical entry
   /// raced in. Takes the shard lock itself.
   void InsertPayload(uint64_t key, uint64_t graph_fingerprint,
@@ -250,7 +244,6 @@ class SubgraphCache {
 
   size_t max_per_shard_ = 0;
   size_t max_bytes_per_shard_ = 0;
-  bool always_build_layout_ = false;
   uint64_t shard_mask_ = 0;
   /// unique_ptr because Shard (mutex) is immovable and the count is a
   /// runtime option.

@@ -10,21 +10,20 @@
 // retires those loops, and is itself split along the immutable/mutable
 // seam:
 //
-//  * WalkPlan is the *immutable, shareable* half: the normalized transition
-//    CSR (or the on-the-fly-normalization binding that skips materializing
-//    it), the execution-plan selection from the probed cache geometry, and
-//    the optional WalkLayout permutation. A plan is built once per graph —
-//    at SubgraphCache admission for cached subgraphs, at Fit/LoadModel for
-//    the PPR/Katz global graphs — and shared by shared_ptr across any
-//    number of concurrently sweeping workers. After Build it is never
-//    mutated, so N pool threads can sweep one plan at once.
+//  * WalkPlan is the *immutable, shareable* half: the graph's CSR binding
+//    plus, for the PPR/Katz normalizations, the materialized transition
+//    values. A plan is built once per graph — at SubgraphCache admission
+//    for cached subgraphs, at Fit/LoadModel for the PPR/Katz global graphs
+//    — and shared by shared_ptr across any number of concurrently sweeping
+//    workers. After Build it is never mutated, so N pool threads can sweep
+//    one plan at once.
 //  * WalkKernel is the *per-worker scratch* half: the branch-free
-//    coefficient vectors CompileAbsorbingSweep fills per query, the
-//    permuted-space value buffers, and the runtime ISA binding. One kernel
-//    lives in each WalkWorkspace and inside each PPR/Katz recommender;
-//    kernels either build their own private plan (BuildTransitions — the
-//    cold path, capacity reused across queries) or adopt a shared one
-//    (AdoptPlan — the warm path, zero per-query O(E)/O(V) setup).
+//    coefficient vectors CompileAbsorbingSweep fills per query and the
+//    runtime ISA binding. One kernel lives in each WalkWorkspace and inside
+//    each PPR/Katz recommender; kernels either build their own private plan
+//    (BuildTransitions — the cold path, capacity reused across queries) or
+//    adopt a shared one (AdoptPlan — the warm path, zero per-query
+//    O(E)/O(V) setup).
 //
 //  * CompileAbsorbingSweep folds per-query absorbing flags, isolated
 //    nodes, and per-node costs into three dense coefficient vectors so the
@@ -33,16 +32,16 @@
 //    (absorbing: add=scale=self=0 pins the value at exactly 0; isolated
 //    transient: scale=0, self=1 accumulates cost forever; ordinary rows:
 //    scale=1, self=0).
-//  * SweepTruncated / Apply run the sweep as a blocked, 4-way-unrolled
-//    gather over the transition CSR. The gather is *runtime-dispatched*:
-//    one portable binary carries both a scalar flavour and an AVX2 flavour
-//    (hardware vgatherdpd, compiled in its own -mavx2 translation unit),
-//    and a one-time CPUID probe at kernel construction picks the table —
-//    no recompilation per host. The two flavours are bit-identical (same
-//    per-lane accumulation order and reduction tree, FP contraction off in
-//    the AVX2 TU), enforced by tests/walk_kernel_test.cc. See
-//    docs/KERNELS.md for the layout, the blocking/unroll parameters and
-//    how to re-tune them.
+//  * SweepTruncated / Apply run the sweep as one 4-way-unrolled gather over
+//    the transition CSR in the graph's own node order. The gather is
+//    *runtime-dispatched*: one portable binary carries both a scalar
+//    flavour and an AVX2 flavour (hardware vgatherdpd, compiled in its own
+//    -mavx2 translation unit), and a one-time CPUID probe at kernel
+//    construction picks the table — no recompilation per host. The two
+//    flavours are bit-identical (same per-lane accumulation order and
+//    reduction tree, FP contraction off in the AVX2 TU), enforced by
+//    tests/walk_kernel_test.cc. See docs/KERNELS.md for the unroll and how
+//    to re-tune it.
 //
 // Numerical contract: results agree with the retained reference loop
 // (AbsorbingValueTruncatedReference in markov.h) to relative tolerance
@@ -51,19 +50,19 @@
 // with the *old* loop is impossible; what the system guarantees instead is
 // that every production path (single-user, batch at any thread count,
 // cache-hit on a shared plan, checkpoint-restored) runs the same kernel
-// and is therefore bit-identical across those paths. A plan makes the
-// same decisions Build-by-kernel would for the same (graph, layout)
-// inputs, so adopted and privately built plans sweep identically.
-// tests/walk_kernel_test.cc and tests/warm_plan_test.cc enforce this.
+// and is therefore bit-identical across those paths. A plan is a pure
+// function of its graph and normalization, so adopted and privately built
+// plans sweep identically. tests/walk_kernel_test.cc and
+// tests/warm_plan_test.cc enforce this.
 #ifndef LONGTAIL_GRAPH_WALK_KERNEL_H_
 #define LONGTAIL_GRAPH_WALK_KERNEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
-#include "graph/walk_layout.h"
 
 namespace longtail {
 
@@ -71,13 +70,30 @@ namespace internal {
 struct WalkKernelIsa;
 }  // namespace internal
 
+/// Never defined: only names the always-null third BuildTransitions
+/// argument that bench/e2e/e2e_trace.h still passes (Subgraph::layout).
+struct WalkLayout;
+
+/// Data-cache capacities of the running machine, probed once per process
+/// (sysconf where the platform exposes them, conservative defaults
+/// otherwise). FusedWidthCap compares the fused value block against L2.
+struct CacheGeometry {
+  size_t l1d_bytes;
+  size_t l2_bytes;
+  size_t l3_bytes;
+};
+
+const CacheGeometry& ProbeCacheGeometry();
+
 /// How a plan derives the contiguous transition-value array from the
-/// graph's edge weights. (Namespace-scope so WalkPlan can use it; WalkKernel
-/// re-exports it as WalkKernel::Normalization for call-site continuity.)
+/// graph's edge weights.
 enum class WalkNormalization {
   /// prob[k] = w[k] / weighted_degree(row): row-stochastic. The DP
   /// gather ⟨prob_row(v), value⟩ is then exactly Σ_j p_vj·value[j] of
-  /// Eq. 1 — what the truncated absorbing-value sweeps consume.
+  /// Eq. 1 — what the truncated absorbing-value sweeps consume. Never
+  /// materialized: the row passes derive w[k]·(1/d) on the fly, the exact
+  /// product a stored array would hold, so the O(entries) transition
+  /// build is skipped at no cost in bits.
   kRowStochastic,
   /// prob[k] = w[k] / weighted_degree(col[k]): column-stochastic. On a
   /// symmetric graph, gathering row v yields (Pᵀx)[v] — the push step of
@@ -88,56 +104,31 @@ enum class WalkNormalization {
   kRaw,
 };
 
-/// The execution plan WalkPlan::Build picks per graph shape (one-time
-/// cost probe against the machine's measured cache geometry; see
-/// docs/KERNELS.md for the thresholds):
-///  * kSimple — flat reference-style loop, no row tiling. Wins while
-///    one value vector (the window row gathers read from) still fits in
-///    L2, where tile bookkeeping is pure overhead. Row-stochastic only.
-///  * kBlocked — L1-tiled row pass with next-tile prefetch, identity
-///    node order; wins once the value vector exceeds L2.
-/// Both identity-order plans normalize row-stochastic transitions on the
-/// fly from the raw weights — the O(entries) transition materialization
-/// is skipped entirely, with the same per-entry rounding sequence (w·(1/d)
-/// then ·x), so results are bit-identical to a materialized sweep. Other
-/// normalizations (PPR/Katz) materialize once and amortize over many
-/// Apply calls.
-///  * kBlockedReordered — kBlocked over a WalkLayout-permuted CSR
-///    (adopted from the SubgraphCache or built here); seeds are injected
-///    and values read back through the permutation, outputs bit-identical
-///    in original id space.
-/// kAuto is only a ForcePlanForTesting value: restore the cost probe.
-enum class WalkSweepMode { kAuto, kSimple, kBlocked, kBlockedReordered };
-
-/// The immutable half of the walk kernel: one graph's normalized transition
-/// CSR (or on-the-fly binding), the sweep-plan selection, and the optional
-/// layout permutation. Built exactly once per graph and shared by
-/// shared_ptr — a SubgraphCache payload carries the plan for its subgraph,
-/// PPR/Katz carry one for their fitted global graph. Immutable after
-/// Build(), so any number of WalkKernels (one per worker, each with private
-/// scratch) may sweep one plan concurrently.
+/// The immutable half of the walk kernel: one graph's CSR binding and, for
+/// the PPR/Katz normalizations, its transition values. Built exactly once
+/// per graph and shared by shared_ptr — a SubgraphCache payload carries
+/// the plan for its subgraph, PPR/Katz carry one for their fitted global
+/// graph. Immutable after Build(), so any number of WalkKernels (one per
+/// worker, each with private scratch) may sweep one plan concurrently.
 ///
-/// Lifetime: the plan points into the graph's CSR arrays (and the layout's,
-/// when adopted) but owns neither — the graph and layout must outlive every
-/// use of the plan. Cache payloads satisfy this structurally: graph, layout
-/// and plan all live in one shared, immutable Subgraph payload.
+/// Lifetime: the plan points into the graph's CSR arrays but does not own
+/// them — the graph must outlive every use of the plan. Cache payloads
+/// satisfy this structurally: graph and plan live in one shared, immutable
+/// Subgraph payload.
 class WalkPlan {
  public:
   WalkPlan() = default;
   WalkPlan(const WalkPlan&) = delete;
   WalkPlan& operator=(const WalkPlan&) = delete;
 
-  /// Compiles `g` into transition bindings and picks the sweep plan.
-  /// Identical decision procedure to the kernel's own BuildTransitions:
-  /// passing the same (graph, norm, layout) here and there yields plans
-  /// that sweep bit-identically. `forced` pins the plan for tests/benches
-  /// (kAuto = cost probe). Reuses this object's buffer capacity, so a
-  /// kernel-owned plan rebuilt per cold query performs no steady-state
-  /// allocation. Rows with weighted degree <= 0 get all-zero transition
-  /// values (compiled as isolated by CompileAbsorbingSweep).
-  void Build(const BipartiteGraph& g, WalkNormalization norm,
-             std::shared_ptr<const WalkLayout> layout = nullptr,
-             WalkSweepMode forced = WalkSweepMode::kAuto);
+  /// Binds `g` and materializes the column-stochastic values when `norm`
+  /// asks for them. Identical to the kernel's own BuildTransitions, so
+  /// plans built here and there sweep bit-identically. Reuses this
+  /// object's buffer capacity, so a kernel-owned plan rebuilt per cold
+  /// query performs no steady-state allocation. Rows with weighted degree
+  /// <= 0 get all-zero transition values (compiled as isolated by
+  /// CompileAbsorbingSweep).
+  void Build(const BipartiteGraph& g, WalkNormalization norm);
 
   /// True once Build has run.
   bool built() const { return graph_ != nullptr; }
@@ -145,15 +136,9 @@ class WalkPlan {
   const BipartiteGraph* graph() const { return graph_; }
   WalkNormalization normalization() const { return norm_; }
   int32_t num_nodes() const { return num_nodes_; }
-  /// "simple", "blocked" or "blocked_reordered"; bench/introspection only.
-  const char* sweep_strategy() const;
-  /// True when the plan sweeps a permuted CSR (adopted or privately built).
-  bool reordered() const { return perm_ != nullptr; }
-  /// Rows per L1 tile of the blocked row pass (0 in simple mode).
-  int32_t row_tile() const { return row_tile_; }
-  /// Heap bytes this plan owns beyond the graph/layout it points into
-  /// (materialized transition values + any privately built layout). The
-  /// SubgraphCache adds this to its resident-byte accounting.
+  /// Heap bytes this plan owns beyond the graph it points into (the
+  /// materialized transition values, if any). The SubgraphCache adds this
+  /// to its resident-byte accounting.
   size_t OwnedBytes() const;
 
  private:
@@ -162,32 +147,17 @@ class WalkPlan {
   const BipartiteGraph* graph_ = nullptr;
   WalkNormalization norm_ = WalkNormalization::kRowStochastic;
   int32_t num_nodes_ = 0;
-  /// True when the plan normalizes rows on the fly from w_/wdeg_ instead
-  /// of a materialized transition array (kRowStochastic, identity order —
-  /// both the simple and the blocked plan).
-  bool norm_fly_ = false;
-  /// Rows per L1 tile of the blocked row pass (0 = flat simple loop).
-  int32_t row_tile_ = 0;
-  /// The CSR the sweeps walk: the graph's own arrays (identity order) or a
-  /// WalkLayout's permuted arrays.
+  /// The graph's CSR, which every sweep walks.
   const int64_t* ptr_ = nullptr;
   const NodeId* col_ = nullptr;
-  /// Materialized transition values parallel to col_ (null when norm_fly_):
-  /// layout row_prob, prob_.data(), or the graph's raw weights.
-  const double* prob_data_ = nullptr;
-  /// Raw weights + weighted degrees for the normalizing row passes.
+  /// Raw weights + weighted degrees for the normalizing row passes
+  /// (kRowStochastic).
   const double* w_ = nullptr;
   const double* wdeg_ = nullptr;
-  /// Original local id → sweep-space row (null ⇔ identity layout).
-  /// CompileAbsorbingSweep scatters coefficients through it; sweeps gather
-  /// outputs back through it.
-  const int32_t* perm_ = nullptr;
-  /// Keeps an adopted layout alive for the lifetime of the plan.
-  std::shared_ptr<const WalkLayout> layout_;
-  /// Privately built layout (large one-shot builds); capacity reused.
-  WalkLayout own_layout_;
-  /// Normalized transition values in sweep order, parallel to col_ (unused
-  /// when the layout supplies row_prob or the plan normalizes on the fly).
+  /// Transition values parallel to col_ for Apply: prob_.data() or the
+  /// graph's raw weights. Null for kRowStochastic.
+  const double* prob_data_ = nullptr;
+  /// Column-stochastic transition values, parallel to col_.
   std::vector<double> prob_;
 };
 
@@ -199,9 +169,6 @@ class WalkPlan {
 /// kernel per worker — but many kernels may share one adopted plan.
 class WalkKernel {
  public:
-  using Normalization = WalkNormalization;
-  using SweepMode = WalkSweepMode;
-
   /// Hard ceiling on the fused multi-query sweep width (mirrors the ISA
   /// tables' per-row stack scratch; see walk_kernel_isa.h). Callers chunk
   /// larger groups.
@@ -227,26 +194,20 @@ class WalkKernel {
   void ForceGenericIsaForTesting();
 
   /// Cold path: (re)builds this kernel's private plan for `g` and binds to
-  /// it. O(edges); call once per extracted subgraph / fitted graph, then
-  /// reuse across any number of sweeps. The plan keeps a pointer to `g`
-  /// and reads its CSR arrays during sweeps, so `g` must outlive the
-  /// kernel's use and must not be rebuilt in between.
-  ///
-  /// `layout` is an optional pre-built permutation of `g` (typically the
-  /// one riding on a SubgraphCache payload): passing it makes the kernel
-  /// sweep the permuted CSR without re-permuting. When absent, auto plans
-  /// stay in identity order (a one-shot query cannot amortize the
-  /// permutation build; only ForcePlanForTesting(kBlockedReordered)
-  /// self-builds one). Either way every public input/output stays in
-  /// original local id space, bit-identical to the identity layout.
-  void BuildTransitions(const BipartiteGraph& g, Normalization norm,
-                        std::shared_ptr<const WalkLayout> layout = nullptr);
+  /// it. O(edges) for kColumnStochastic, O(1) otherwise; call once per
+  /// extracted subgraph / fitted graph, then reuse across any number of
+  /// sweeps. The plan keeps a pointer to `g` and reads its CSR arrays
+  /// during sweeps, so `g` must outlive the kernel's use and must not be
+  /// rebuilt in between. The unnamed third parameter is ignored; it only
+  /// keeps bench/e2e/e2e_trace.h's call compiling.
+  void BuildTransitions(const BipartiteGraph& g, WalkNormalization norm,
+                        std::shared_ptr<const WalkLayout> = nullptr);
 
   /// Warm path: binds to a shared, already-built plan — zero O(E) or O(V)
-  /// work, just two pointer stores. The plan (and the graph/layout it
-  /// points into) must stay alive while bound; SubgraphCache payloads
-  /// guarantee this by carrying graph, layout and plan together. Any
-  /// number of kernels may adopt one plan and sweep concurrently.
+  /// work, just two pointer stores. The plan (and the graph it points
+  /// into) must stay alive while bound; SubgraphCache payloads guarantee
+  /// this by carrying graph and plan together. Any number of kernels may
+  /// adopt one plan and sweep concurrently.
   void AdoptPlan(std::shared_ptr<const WalkPlan> plan);
 
   /// True once BuildTransitions or AdoptPlan has bound a plan; sweeps
@@ -258,29 +219,9 @@ class WalkKernel {
   const BipartiteGraph* graph() const {
     return plan_ != nullptr ? plan_->graph_ : nullptr;
   }
-  Normalization normalization() const {
-    return plan_ != nullptr ? plan_->norm_ : Normalization::kRowStochastic;
+  WalkNormalization normalization() const {
+    return plan_ != nullptr ? plan_->norm_ : WalkNormalization::kRowStochastic;
   }
-
-  /// The bound plan's strategy ("simple", "blocked" or "blocked_reordered");
-  /// bench/introspection only.
-  const char* sweep_strategy() const;
-  /// True when the bound plan sweeps a permuted CSR (adopted or private).
-  bool reordered() const { return plan_ != nullptr && plan_->reordered(); }
-  /// Rows per L1 tile of the blocked row pass (0 in simple mode).
-  int32_t row_tile() const { return plan_ != nullptr ? plan_->row_tile_ : 0; }
-  /// Test/bench hook: pin the plan for subsequent BuildTransitions calls
-  /// (kAuto restores the cost probe). kSimple requires kRowStochastic;
-  /// kBlockedReordered builds a private layout when none is passed. Has no
-  /// effect on AdoptPlan — adopted plans were decided at build time.
-  void ForcePlanForTesting(SweepMode mode) { forced_plan_ = mode; }
-
-  /// Plan constants on this machine (bench/introspection): the
-  /// value-vector ceiling under which the cost probe picks the simple
-  /// plan, and the rows-per-L1-tile the blocked plans sweep with. Derived
-  /// from the measured cache geometry (walk_layout.h) once per process.
-  static size_t SimplePlanMaxValueBytes();
-  static int32_t BlockedPlanRowTile();
 
   /// Compiles one query's absorbing flags and per-node immediate costs
   /// into the branch-free coefficient vectors. Requires kRowStochastic
@@ -323,10 +264,10 @@ class WalkKernel {
   /// `node_cost` is shared by every lane — queries fused into one batch
   /// come from the same recommender over the same subgraph, whose per-node
   /// costs do not depend on the query. Fills K-strided coefficient blocks
-  /// (lane q of node v at index v·K + q, scattered through the permutation
-  /// on reordered plans) so one row pass serves all K queries. K =
-  /// absorbing.size() must be in [1, kMaxFusedWidth]. Lane q's compiled
-  /// semantics are exactly CompileAbsorbingSweep(absorbing[q], node_cost)'s.
+  /// (lane q of node v at index v·K + q) so one row pass serves all K
+  /// queries. K = absorbing.size() must be in [1, kMaxFusedWidth]. Lane
+  /// q's compiled semantics are exactly CompileAbsorbingSweep(absorbing[q],
+  /// node_cost)'s.
   void CompileAbsorbingSweepBatch(const std::vector<std::vector<bool>>& absorbing,
                                   const std::vector<double>& node_cost);
 
@@ -372,31 +313,24 @@ class WalkKernel {
   /// gathering all edges. The two execution paths agree to the kernel's
   /// ~1e-13 parity tolerance (not bit-identically), and the choice is a
   /// deterministic function of x, so repeated runs are reproducible.
-  /// kRowStochastic transitions always take the dense pull (no Apply
-  /// caller uses them).
+  /// kRowStochastic plans are rejected (no Apply caller uses them).
   void Apply(double alpha, const double* x, double beta,
              const double* restart, double* y) const;
 
  private:
-  /// Tiled absorbing pass over sweep-space rows [lo, hi): simple mode
-  /// dispatches the normalizing rows once, blocked modes walk L1-sized row
-  /// tiles and prefetch the next tile's index/value strips.
+  /// Absorbing pass over rows [lo, hi) with the single-query coefficients.
   void RunAbsorbingRange(int32_t lo, int32_t hi, const double* cur,
                          double* nxt) const;
   /// Same for the ranking sweep's in-place double-step pass.
   void RunFusedRange(int32_t lo, int32_t hi, double* x) const;
-  /// Multi-query flavours over the K-strided coefficient blocks; the row
-  /// tile shrinks by the width so the dense streams still fit L1.
+  /// Multi-query flavours over the K-strided coefficient blocks.
   void RunAbsorbingRangeBatch(int32_t lo, int32_t hi, const double* cur,
                               double* nxt) const;
   void RunFusedRangeBatch(int32_t lo, int32_t hi, double* x) const;
-  /// Prefetches the col/prob strips of sweep-space rows [lo, hi).
-  void PrefetchRows(int32_t lo, int32_t hi) const;
 
   /// The instruction-set flavour every sweep dispatches through; bound at
   /// construction, never null.
   const internal::WalkKernelIsa* isa_;
-  SweepMode forced_plan_ = SweepMode::kAuto;
 
   /// The bound plan: &own_plan_ after BuildTransitions, adopted_.get()
   /// after AdoptPlan, null before either.
@@ -407,24 +341,16 @@ class WalkKernel {
   /// Keeps an adopted shared plan alive while bound.
   std::shared_ptr<const WalkPlan> adopted_;
 
-  /// Per-row sweep coefficients compiled by CompileAbsorbingSweep, indexed
-  /// in sweep space (permuted when reordered).
+  /// Per-row sweep coefficients compiled by CompileAbsorbingSweep.
   std::vector<double> add_;    // constant term (0 for absorbing rows)
   std::vector<double> scale_;  // 1 ordinary row, 0 absorbing/isolated
   std::vector<double> self_;   // 1 isolated transient row, else 0
   /// K-strided coefficient blocks compiled by CompileAbsorbingSweepBatch
-  /// (lane q of sweep-space row v at v·batch_width_ + q).
+  /// (lane q of row v at v·batch_width_ + q).
   int32_t batch_width_ = 0;
   std::vector<double> badd_;
   std::vector<double> bscale_;
   std::vector<double> bself_;
-  /// Permuted-space sweep buffers (reordered plans only). Mutable because
-  /// sweeps are logically const — the kernel is single-owner per worker.
-  mutable std::vector<double> pval_;
-  mutable std::vector<double> pscratch_;
-  mutable std::vector<double> px_;
-  /// Permuted-space strided value block for the fused batch sweep.
-  mutable std::vector<double> pblock_;
 };
 
 /// Process-global fused-sweep counters: how many fused batch sweeps ran and

@@ -44,7 +44,7 @@ inline double RowGather(const double* prob, const NodeId* col, int64_t begin,
   return sum;
 }
 
-// Normalizing gather ("simple" mode): w[k]·inv is formed per lane before
+// Normalizing gather: w[k]·inv is formed per lane before
 // the multiply into x — each lane performs the same two individually
 // rounded products as scalar accumulator a_i of the generic flavour, and
 // the reduction tree is shared, so both paths round identically.
@@ -71,73 +71,14 @@ inline double RowGatherNorm(const double* w, const NodeId* col, int64_t begin,
 
 // Fused multi-query gather, vectorized across *query lanes*: the strided
 // layout puts 4 adjacent lanes of one node in 32 contiguous bytes, so a
-// plain vmovupd replaces the hardware gather — one edge load (col + prob)
-// feeds 4 lanes. Vector accumulator A_i holds, in lane q, exactly scalar
-// accumulator a_i of the generic per-lane loop (same edge partition), the
-// reduction is the elementwise (A0+A1)+(A2+A3) tree, and the edge tail
-// adds one product per edge in the generic order — so every lane rounds
-// identically to a sequential sweep. Lanes past the last multiple of 4
-// fall back to the generic-shaped scalar loop.
-inline void RowGatherBatch(const double* prob, const NodeId* col,
-                           int64_t begin, int64_t end, const double* x,
-                           int32_t width, double* out) {
-  int32_t q = 0;
-  for (; q + 4 <= width; q += 4) {
-    const double* xq = x + q;
-    int64_t k = begin;
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd();
-    for (; k + 4 <= end; k += 4) {
-      a0 = _mm256_add_pd(
-          a0, _mm256_mul_pd(
-                  _mm256_set1_pd(prob[k]),
-                  _mm256_loadu_pd(xq + static_cast<int64_t>(col[k]) * width)));
-      a1 = _mm256_add_pd(
-          a1, _mm256_mul_pd(_mm256_set1_pd(prob[k + 1]),
-                            _mm256_loadu_pd(
-                                xq + static_cast<int64_t>(col[k + 1]) * width)));
-      a2 = _mm256_add_pd(
-          a2, _mm256_mul_pd(_mm256_set1_pd(prob[k + 2]),
-                            _mm256_loadu_pd(
-                                xq + static_cast<int64_t>(col[k + 2]) * width)));
-      a3 = _mm256_add_pd(
-          a3, _mm256_mul_pd(_mm256_set1_pd(prob[k + 3]),
-                            _mm256_loadu_pd(
-                                xq + static_cast<int64_t>(col[k + 3]) * width)));
-    }
-    __m256d sum =
-        _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
-    for (; k < end; ++k) {
-      sum = _mm256_add_pd(
-          sum, _mm256_mul_pd(
-                   _mm256_set1_pd(prob[k]),
-                   _mm256_loadu_pd(xq + static_cast<int64_t>(col[k]) * width)));
-    }
-    _mm256_storeu_pd(out + q, sum);
-  }
-  // Ragged lane tail: the generic per-lane loop, verbatim shape.
-  for (; q < width; ++q) {
-    const double* xq = x + q;
-    int64_t k = begin;
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    for (; k + 4 <= end; k += 4) {
-      a0 += prob[k] * xq[static_cast<int64_t>(col[k]) * width];
-      a1 += prob[k + 1] * xq[static_cast<int64_t>(col[k + 1]) * width];
-      a2 += prob[k + 2] * xq[static_cast<int64_t>(col[k + 2]) * width];
-      a3 += prob[k + 3] * xq[static_cast<int64_t>(col[k + 3]) * width];
-    }
-    double sum = (a0 + a1) + (a2 + a3);
-    for (; k < end; ++k) {
-      sum += prob[k] * xq[static_cast<int64_t>(col[k]) * width];
-    }
-    out[q] = sum;
-  }
-}
-
-// Normalizing flavour: w[k]·inv is one scalar product (identical rounding
-// in every lane), formed once and broadcast.
+// plain vmovupd replaces the hardware gather — one edge load (col + w)
+// feeds 4 lanes. w[k]·inv is one scalar product (identical rounding in
+// every lane), formed once and broadcast. Vector accumulator A_i holds, in
+// lane q, exactly scalar accumulator a_i of the generic per-lane loop
+// (same edge partition), the reduction is the elementwise (A0+A1)+(A2+A3)
+// tree, and the edge tail adds one product per edge in the generic order
+// — so every lane rounds identically to a sequential sweep. Lanes past the
+// last multiple of 4 fall back to the generic-shaped scalar loop.
 inline void RowGatherNormBatch(const double* w, const NodeId* col,
                                int64_t begin, int64_t end, const double* x,
                                double inv, int32_t width, double* out) {
@@ -177,6 +118,7 @@ inline void RowGatherNormBatch(const double* w, const NodeId* col,
     }
     _mm256_storeu_pd(out + q, sum);
   }
+  // Ragged lane tail: the generic per-lane loop, verbatim shape.
   for (; q < width; ++q) {
     const double* xq = x + q;
     int64_t k = begin;
@@ -201,13 +143,9 @@ inline void RowGatherNormBatch(const double* w, const NodeId* col,
 
 const WalkKernelIsa* Avx2WalkKernelIsa() {
   static constexpr WalkKernelIsa isa = {"avx2",
-                                        &AbsorbingRows,
-                                        &AbsorbingRowsFused,
                                         &AbsorbingRowsNorm,
                                         &AbsorbingRowsFusedNorm,
                                         &ApplyRows,
-                                        &AbsorbingRowsBatch,
-                                        &AbsorbingRowsFusedBatch,
                                         &AbsorbingRowsNormBatch,
                                         &AbsorbingRowsFusedNormBatch};
   return &isa;

@@ -27,8 +27,8 @@ namespace internal {
 inline constexpr int32_t kMaxFusedWidth = 32;
 
 /// One instruction-set flavour of the kernel's hot row passes. All passes
-/// process local node rows [lo, hi) of a transition CSR (`ptr`, `col`,
-/// `prob`); callers own blocking and iteration structure.
+/// process local node rows [lo, hi) of a graph's CSR (`ptr`, `col`);
+/// callers own the iteration structure.
 ///
 /// Every absorbing pass skips the gather of rows with scale == self == 0
 /// (absorbing rows) and writes exactly +0.0 — the value the full
@@ -39,46 +39,31 @@ inline constexpr int32_t kMaxFusedWidth = 32;
 struct WalkKernelIsa {
   const char* name;  // "generic" or "avx2"
 
-  /// Absorbing-sweep pass: nxt[v] = (add[v] + scale[v]·⟨prob_row(v), cur⟩)
-  /// + self[v]·cur[v]. `cur == nxt` is allowed when the gathered columns
-  /// never overlap [lo, hi) (the bipartite ranking sweep).
-  void (*absorbing_rows)(int32_t lo, int32_t hi, const int64_t* ptr,
-                         const NodeId* col, const double* prob,
-                         const double* add, const double* scale,
-                         const double* self, const double* cur, double* nxt);
-
-  /// In-place double-step pass of the ranking sweep: ordinary rows advance
-  /// one gather, isolated rows (self = 1) accumulate their cost twice in
-  /// the same order the full sweep would:
-  /// x[v] = ((add[v] + scale[v]·⟨prob_row(v), x⟩) + self[v]·x[v])
-  ///        + self[v]·add[v].
-  void (*absorbing_rows_fused)(int32_t lo, int32_t hi, const int64_t* ptr,
-                               const NodeId* col, const double* prob,
-                               const double* add, const double* scale,
-                               const double* self, double* x);
-
-  /// Normalizing flavour of absorbing_rows for the adaptive plan's
-  /// "simple" mode: no materialized prob array — each row derives
-  /// inv = 1/wdeg[v] and gathers (w[k]·inv)·cur[col[k]], the exact
-  /// products BuildTransitions would have stored, so results stay
-  /// bit-identical to the blocked path while skipping the O(entries)
-  /// transition build that dominates tiny subgraphs.
+  /// Absorbing-sweep pass over row-stochastic transitions normalized on
+  /// the fly: each row derives inv = 1/wdeg[v] and gathers
+  /// (w[k]·inv)·cur[col[k]], then
+  /// nxt[v] = (add[v] + scale[v]·acc) + self[v]·cur[v]. `cur == nxt` is
+  /// allowed when the gathered columns never overlap [lo, hi) (the
+  /// bipartite ranking sweep).
   void (*absorbing_rows_norm)(int32_t lo, int32_t hi, const int64_t* ptr,
                               const NodeId* col, const double* w,
                               const double* wdeg, const double* add,
                               const double* scale, const double* self,
                               const double* cur, double* nxt);
 
-  /// Normalizing flavour of absorbing_rows_fused (same contract).
+  /// In-place double-step pass of the ranking sweep: ordinary rows advance
+  /// one gather, isolated rows (self = 1) accumulate their cost twice in
+  /// the same order the full sweep would:
+  /// x[v] = ((add[v] + scale[v]·acc) + self[v]·x[v]) + self[v]·add[v].
   void (*absorbing_rows_fused_norm)(int32_t lo, int32_t hi,
                                     const int64_t* ptr, const NodeId* col,
                                     const double* w, const double* wdeg,
                                     const double* add, const double* scale,
                                     const double* self, double* x);
 
-  /// Power-iteration pass: y[v] = alpha·⟨prob_row(v), x⟩ + beta·restart[v]
-  /// (`restart == nullptr` drops the second term). `x` and `y` must not
-  /// alias.
+  /// Power-iteration pass over materialized transitions:
+  /// y[v] = alpha·⟨prob_row(v), x⟩ + beta·restart[v] (`restart == nullptr`
+  /// drops the second term). `x` and `y` must not alias.
   void (*apply_rows)(int32_t lo, int32_t hi, const int64_t* ptr,
                      const NodeId* col, const double* prob, double alpha,
                      const double* x, double beta, const double* restart,
@@ -90,24 +75,10 @@ struct WalkKernelIsa {
   /// all lanes; per lane the accumulation order, reduction tree and
   /// absorbing skip are exactly the single-query pass's, so lane q is
   /// bit-identical to a sequential sweep of query q (the parity suite pins
-  /// this across widths 1–17, plans and ISAs). Rows absorbing in *every*
-  /// lane skip their gather entirely; rows absorbing in some lanes gather
-  /// once and overwrite the absorbing lanes with the constant +0.0 the
+  /// this across widths 1–17 and ISAs). Rows absorbing in *every* lane
+  /// skip their gather entirely; rows absorbing in some lanes gather once
+  /// and overwrite the absorbing lanes with the constant +0.0 the
   /// sequential pass writes. `width` must be in [1, kMaxFusedWidth].
-  void (*absorbing_rows_batch)(int32_t lo, int32_t hi, const int64_t* ptr,
-                               const NodeId* col, const double* prob,
-                               const double* add, const double* scale,
-                               const double* self, const double* cur,
-                               double* nxt, int32_t width);
-
-  /// Batch flavour of absorbing_rows_fused (in-place double step).
-  void (*absorbing_rows_fused_batch)(int32_t lo, int32_t hi,
-                                     const int64_t* ptr, const NodeId* col,
-                                     const double* prob, const double* add,
-                                     const double* scale, const double* self,
-                                     double* x, int32_t width);
-
-  /// Batch flavour of absorbing_rows_norm (on-the-fly normalization).
   void (*absorbing_rows_norm_batch)(int32_t lo, int32_t hi,
                                     const int64_t* ptr, const NodeId* col,
                                     const double* w, const double* wdeg,
@@ -115,7 +86,7 @@ struct WalkKernelIsa {
                                     const double* self, const double* cur,
                                     double* nxt, int32_t width);
 
-  /// Batch flavour of absorbing_rows_fused_norm.
+  /// Batch flavour of absorbing_rows_fused_norm (in-place double step).
   void (*absorbing_rows_fused_norm_batch)(
       int32_t lo, int32_t hi, const int64_t* ptr, const NodeId* col,
       const double* w, const double* wdeg, const double* add,

@@ -350,8 +350,7 @@ std::vector<UserQueryResult> ServingEngine::QueryAll(
         // shed load itself.
         backpressure_retries_.fetch_add(1, std::memory_order_relaxed);
         ++retries;
-        if (options_.query_retry_budget > 0 &&
-            retries >= options_.query_retry_budget) {
+        if (retries >= options_.query_retry_budget) {
           results[i] = std::move(ready);
           break;
         }

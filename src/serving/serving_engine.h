@@ -94,9 +94,8 @@ struct ServingEngineOptions {
   /// Blocking Query/QueryAll retry budget under sustained backpressure:
   /// after this many ResourceExhausted admissions for one request, the
   /// rejection is surfaced to the caller instead of retried (the queue is
-  /// not draining; spinning harder will not help). 0 = retry forever (the
-  /// pre-budget behavior, which can hot-spin when foreign traffic holds the
-  /// queue full).
+  /// not draining; spinning harder will not help). 0 behaves like 1: the
+  /// first queue-full rejection is surfaced.
   uint64_t query_retry_budget = 256;
 };
 

@@ -199,9 +199,9 @@ TEST_F(BatchParityTest, FailedQueriesAreIsolated) {
 // Duplicated users force the fused multi-query sweep: queries with equal
 // seed sets group onto one subgraph and advance as interleaved lanes of a
 // single CSR pass. Results must be bit-identical to the sequential
-// per-user calls and to the ungrouped width-1 dispatch, at every fused
-// width ceiling and thread count, and the width observer must account for
-// every served query exactly once.
+// per-user calls at every fused width ceiling (including width 1, where
+// every group sweeps in one-lane slices) and thread count, and the width
+// observer must account for every served query exactly once.
 TEST_F(BatchParityTest, FusedGroupingMatchesUngroupedAcrossWidthsAndThreads) {
   for (const auto& rec : BuildSuite()) {
     // DPPR is in the parity suite but is not a graph-walk engine: it takes
@@ -269,9 +269,8 @@ TEST_F(BatchParityTest, FusedGroupingMatchesUngroupedAcrossWidthsAndThreads) {
               << label << " query " << i;
         }
         std::lock_guard<std::mutex> lock(mu);
-        if (!graph_engine || cap == 1) {
-          // Width 1 takes the ungrouped per-query dispatch; the observer
-          // never fires there (nor for non-graph recommenders).
+        if (!graph_engine) {
+          // Non-graph recommenders never invoke the observer.
           EXPECT_TRUE(widths.empty()) << label;
         } else {
           int64_t lanes = 0;
@@ -281,11 +280,16 @@ TEST_F(BatchParityTest, FusedGroupingMatchesUngroupedAcrossWidthsAndThreads) {
             if (cap > 0) EXPECT_LE(w, cap) << label;
           }
           // Every successfully served query rode exactly one dispatched
-          // sweep; with 6 copies of user 7 and a cap above 1, at least one
-          // sweep must actually have fused.
+          // sweep. Width 1 still groups, in one-lane slices; with 6 copies
+          // of user 7 and a cap above 1, at least one sweep must actually
+          // have fused.
           EXPECT_EQ(lanes, static_cast<int64_t>(served)) << label;
-          EXPECT_GT(*std::max_element(widths.begin(), widths.end()), 1)
-              << label;
+          if (cap == 1) {
+            EXPECT_EQ(widths.size(), served) << label;
+          } else {
+            EXPECT_GT(*std::max_element(widths.begin(), widths.end()), 1)
+                << label;
+          }
         }
       }
     }

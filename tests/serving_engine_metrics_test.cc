@@ -307,10 +307,11 @@ TEST(ServingEngineBackpressureTest, QueryRetryBudgetSurfacesRejection) {
   EXPECT_EQ(stats.completed, 2u);
 }
 
-// query_retry_budget = 0 keeps the legacy retry-forever contract: the
-// request rides out transient backpressure and succeeds once the queue
-// drains.
-TEST(ServingEngineBackpressureTest, ZeroBudgetRetriesUntilServed) {
+// query_retry_budget = 0 bounds the loop too: with the gate held and the
+// queue full, a blocking Query surfaces ResourceExhausted after exactly
+// one backpressure retry. The FakeClock never advances, so nothing
+// but the budget can end the loop.
+TEST(ServingEngineBackpressureTest, ZeroBudgetSurfacesFirstRejection) {
   const Dataset data = MakeTinyDataset();
   GateRecommender gate;
   ASSERT_TRUE(gate.Fit(data).ok());
@@ -332,19 +333,37 @@ TEST(ServingEngineBackpressureTest, ZeroBudgetRetriesUntilServed) {
   std::future<UserQueryResult> f1 = engine.Submit("gate", request);
   gate.WaitForEntries(1);
   std::future<UserQueryResult> f2 = engine.Submit("gate", request);
+  ASSERT_NE(f2.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
 
+  // Off-thread so an unbounded retry loop fails the test instead of
+  // hanging it.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool query_done = false;
+  UserQueryResult r3;
   std::thread caller([&] {
-    // Retries as long as it takes; succeeds once the gate opens.
-    EXPECT_TRUE(engine.Query("gate", request).status.ok());
+    UserQueryResult result = engine.Query("gate", request);
+    std::lock_guard<std::mutex> lock(mu);
+    r3 = std::move(result);
+    query_done = true;
+    cv.notify_all();
   });
-  // Let the caller bang against the full queue a few times, then open.
-  while (engine.Stats().backpressure_retries < 8) {
-    std::this_thread::yield();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    const bool returned = cv.wait_for(lock, std::chrono::seconds(20),
+                                      [&] { return query_done; });
+    EXPECT_TRUE(returned) << "a zero budget did not bound the retry loop";
   }
   gate.Open();
   caller.join();
+  EXPECT_EQ(r3.status.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(f1.get().status.ok());
   EXPECT_TRUE(f2.get().status.ok());
+
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.backpressure_retries, 1u);
+  EXPECT_EQ(stats.rejected_queue_full, 1u);
 }
 
 // ---------------------------------------------------------------- fix 3

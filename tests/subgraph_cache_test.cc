@@ -290,61 +290,6 @@ TEST(SubgraphCacheLruTest, AdoptedSubgraphMatchesFreshExtraction) {
   }
 }
 
-// A cache hit adopts the payload's WalkLayout by pointer — the permutation
-// is built exactly once, at admission — and a kernel sweeping through the
-// adopted layout stays bit-identical to an uncached identity-order walk.
-TEST(SubgraphCacheLruTest, CacheHitReusesPayloadLayoutWithoutRepermuting) {
-  const Dataset data = testing::MakeFigure2Dataset();
-  const BipartiteGraph g = BipartiteGraph::FromDataset(data);
-  SubgraphCacheOptions cache_options;
-  // Production only reorders past the cache-geometry threshold; force the
-  // build so the adoption path is exercised at CI size.
-  cache_options.always_build_layout = true;
-  SubgraphCache cache(cache_options);
-  const SubgraphOptions sub_options;
-  const std::vector<NodeId> seeds = {g.UserNode(1)};
-
-  WalkWorkspace leader;
-  cache.GetOrExtract(g, seeds, sub_options, &leader);
-  const std::shared_ptr<const WalkLayout> built = leader.sub().layout;
-  ASSERT_NE(nullptr, built);
-
-  WalkWorkspace adopter;
-  cache.GetOrExtract(g, seeds, sub_options, &adopter);
-  EXPECT_EQ(1u, cache.Stats().hits);
-  // Same layout object, shared by pointer: the hit did not re-permute.
-  EXPECT_EQ(built.get(), adopter.sub().layout.get());
-
-  WalkWorkspace uncached;
-  ExtractSubgraphInto(g, seeds, sub_options, &uncached);
-  EXPECT_EQ(nullptr, uncached.sub().layout);
-
-  const int32_t n = uncached.sub().graph.num_nodes();
-  ASSERT_EQ(n, adopter.sub().graph.num_nodes());
-  std::vector<bool> absorbing(n, false);
-  for (int32_t v = 0; v < n; ++v) absorbing[v] = v % 3 == 0;
-  const std::vector<double> costs(n, 1.0);
-  auto sweep = [&](WalkWorkspace& ws, std::vector<double>* value) {
-    // The graph_recommender_base.cc idiom: the payload's layout (if any)
-    // rides into BuildTransitions, so cache hits sweep pre-permuted.
-    ws.kernel.BuildTransitions(ws.sub().graph,
-                               WalkKernel::Normalization::kRowStochastic,
-                               ws.sub().layout);
-    ws.kernel.CompileAbsorbingSweep(absorbing, costs);
-    std::vector<double> scratch;
-    ws.kernel.SweepTruncated(15, value, &scratch);
-  };
-  std::vector<double> via_cache, direct;
-  sweep(adopter, &via_cache);
-  EXPECT_TRUE(adopter.kernel.reordered());
-  sweep(uncached, &direct);
-  EXPECT_FALSE(uncached.kernel.reordered());
-  ASSERT_EQ(direct.size(), via_cache.size());
-  for (size_t v = 0; v < direct.size(); ++v) {
-    EXPECT_EQ(direct[v], via_cache[v]) << "node " << v;
-  }
-}
-
 TEST(SubgraphCacheLruTest, KeyDependsOnEveryInput) {
   const Dataset data = testing::MakeFigure2Dataset();
   const BipartiteGraph g = BipartiteGraph::FromDataset(data);

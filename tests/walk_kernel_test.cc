@@ -1,4 +1,4 @@
-// Walk-kernel / legacy parity: the blocked, pre-normalized WalkKernel
+// Walk-kernel / legacy parity: the pre-normalized WalkKernel
 // sweeps must agree with the retained reference loop
 // (AbsorbingValueTruncatedReference) on random bipartite graphs — including
 // isolated nodes, all-absorbing and empty-absorbing sets, and empty
@@ -25,7 +25,6 @@
 #include "graph/markov.h"
 #include "graph/subgraph.h"
 #include "graph/walk_kernel.h"
-#include "graph/walk_layout.h"
 
 namespace longtail {
 namespace {
@@ -205,7 +204,7 @@ TEST(WalkKernelTest, ItemValuesSweepMatchesFullSweepBitwise) {
     const auto absorbing = RandomAbsorbing(n, 0.15, ++seed);
     const auto costs = RandomCosts(n, ++seed);
     WalkKernel kernel;
-    kernel.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
+    kernel.BuildTransitions(g, WalkNormalization::kRowStochastic);
     kernel.CompileAbsorbingSweep(absorbing, costs);
     std::vector<double> full, scratch, ranking;
     kernel.SweepTruncated(iterations, &full, &scratch);
@@ -243,7 +242,7 @@ TEST(WalkKernelTest, ApplyColumnStochasticMatchesPprScatter) {
     }
   }
   WalkKernel kernel;
-  kernel.BuildTransitions(g, WalkKernel::Normalization::kColumnStochastic);
+  kernel.BuildTransitions(g, WalkNormalization::kColumnStochastic);
   std::vector<double> actual(n);
   kernel.Apply(lambda, x.data(), 1.0 - lambda, restart.data(), actual.data());
   for (int32_t v = 0; v < n; ++v) {
@@ -271,7 +270,7 @@ TEST(WalkKernelTest, ApplyRawMatchesKatzScatter) {
     }
   }
   WalkKernel kernel;
-  kernel.BuildTransitions(g, WalkKernel::Normalization::kRaw);
+  kernel.BuildTransitions(g, WalkNormalization::kRaw);
   std::vector<double> actual(n);
   kernel.Apply(beta, x.data(), 0.0, nullptr, actual.data());
   for (int32_t v = 0; v < n; ++v) {
@@ -308,7 +307,7 @@ TEST(WalkKernelTest, ApplySparseFrontierTakesPushAndMatchesScatter) {
       expected[nbrs[k]] += lambda / d * wts[k];
     }
     WalkKernel kernel;
-    kernel.BuildTransitions(g, WalkKernel::Normalization::kColumnStochastic);
+    kernel.BuildTransitions(g, WalkNormalization::kColumnStochastic);
     std::vector<double> actual(n);
     kernel.Apply(lambda, x.data(), 1.0 - lambda, restart.data(),
                  actual.data());
@@ -327,7 +326,7 @@ TEST(WalkKernelTest, ApplySparseFrontierTakesPushAndMatchesScatter) {
       expected[nbrs[k]] += beta * wts[k];
     }
     WalkKernel kernel;
-    kernel.BuildTransitions(g, WalkKernel::Normalization::kRaw);
+    kernel.BuildTransitions(g, WalkNormalization::kRaw);
     std::vector<double> actual(n);
     kernel.Apply(beta, x.data(), 0.0, nullptr, actual.data());
     for (int32_t v = 0; v < n; ++v) {
@@ -362,8 +361,8 @@ TEST(WalkKernelTest, RuntimeIsaDispatchBitIdenticalToGeneric) {
   }
 
   // Absorbing sweeps: full double-buffered and in-place ranking flavours.
-  dispatched.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
-  generic.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
+  dispatched.BuildTransitions(g, WalkNormalization::kRowStochastic);
+  generic.BuildTransitions(g, WalkNormalization::kRowStochastic);
   dispatched.CompileAbsorbingSweep(absorbing, costs);
   generic.CompileAbsorbingSweep(absorbing, costs);
   for (int tau : {1, 2, 7, 15}) {
@@ -388,9 +387,9 @@ TEST(WalkKernelTest, RuntimeIsaDispatchBitIdenticalToGeneric) {
   WalkKernel dispatched_col, generic_col;
   generic_col.ForceGenericIsaForTesting();
   dispatched_col.BuildTransitions(
-      g, WalkKernel::Normalization::kColumnStochastic);
+      g, WalkNormalization::kColumnStochastic);
   generic_col.BuildTransitions(g,
-                               WalkKernel::Normalization::kColumnStochastic);
+                               WalkNormalization::kColumnStochastic);
   std::vector<double> x(n), restart(n);
   for (int32_t v = 0; v < n; ++v) {
     x[v] = 0.25 + 0.5 * ((v * 2654435761u) % 97) / 97.0;
@@ -409,198 +408,12 @@ TEST(WalkKernelTest, RuntimeIsaDispatchBitIdenticalToGeneric) {
   }
 }
 
-// The three execution plans — simple flat loop, L1-blocked tiles, blocked
-// over a WalkLayout-permuted CSR — are *memory layout* decisions only: for
-// the same query they must produce BIT-identical results, including the
-// reordered plan, whose coefficients are scattered and outputs gathered
-// through the permutation. Exercised against the auto plan on random
-// graphs with isolated nodes and single-side (users-only / items-only)
-// graphs, at several τ, on both the dispatched and the generic row-gather
-// flavour.
-TEST(WalkKernelTest, ExecutionPlansBitIdenticalAcrossLayouts) {
-  struct Config {
-    int32_t users, items, isolated_users, isolated_items;
-    double density;
-  };
-  const Config configs[] = {
-      {40, 30, 0, 0, 0.15},
-      {80, 120, 5, 9, 0.05},  // sparse, isolated nodes on both sides
-      {25, 0, 3, 0, 0.0},     // users only — every row isolated
-      {0, 18, 0, 2, 0.0},     // items only
-  };
-  const WalkKernel::SweepMode plans[] = {
-      WalkKernel::SweepMode::kSimple,
-      WalkKernel::SweepMode::kBlocked,
-      WalkKernel::SweepMode::kBlockedReordered,
-  };
-  uint64_t seed = 31000;
-  for (const Config& c : configs) {
-    const BipartiteGraph g = RandomGraph(c.users, c.items, c.density, ++seed,
-                                         c.isolated_users, c.isolated_items);
-    const int32_t n = g.num_nodes();
-    const auto absorbing = RandomAbsorbing(n, 0.2, ++seed);
-    const auto costs = RandomCosts(n, ++seed);
-    for (int tau : {1, 7, 16}) {
-      WalkKernel base;  // auto plan, dispatched ISA
-      base.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
-      base.CompileAbsorbingSweep(absorbing, costs);
-      std::vector<double> full, scratch, rank;
-      base.SweepTruncated(tau, &full, &scratch);
-      base.SweepTruncatedItemValues(tau, &rank);
-      for (bool generic : {false, true}) {
-        for (WalkKernel::SweepMode plan : plans) {
-          WalkKernel k;
-          if (generic) k.ForceGenericIsaForTesting();
-          k.ForcePlanForTesting(plan);
-          k.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
-          k.CompileAbsorbingSweep(absorbing, costs);
-          const std::string label =
-              std::string(k.sweep_strategy()) + (generic ? "/generic" : "") +
-              " " + std::to_string(c.users) + "x" + std::to_string(c.items) +
-              " tau " + std::to_string(tau);
-          std::vector<double> f2, s2, r2;
-          k.SweepTruncated(tau, &f2, &s2);
-          ASSERT_EQ(full.size(), f2.size()) << label;
-          for (size_t v = 0; v < full.size(); ++v) {
-            EXPECT_EQ(full[v], f2[v]) << label << " node " << v;
-          }
-          k.SweepTruncatedItemValues(tau, &r2);
-          ASSERT_EQ(rank.size(), r2.size()) << label;
-          for (int32_t v = g.num_users(); v < n; ++v) {
-            EXPECT_EQ(rank[v], r2[v]) << label << " item row " << v;
-          }
-        }
-      }
-    }
-  }
-}
-
-// Forced plans on the empty subgraph an empty seed set extracts (and on a
-// default-constructed graph): every plan must handle n == 0.
-TEST(WalkKernelTest, ForcedPlansHandleEmptySeedSubgraph) {
-  const BipartiteGraph g = RandomGraph(12, 8, 0.3, 33000);
-  for (WalkKernel::SweepMode plan :
-       {WalkKernel::SweepMode::kSimple, WalkKernel::SweepMode::kBlocked,
-        WalkKernel::SweepMode::kBlockedReordered}) {
-    WalkWorkspace ws;
-    ws.kernel.ForcePlanForTesting(plan);
-    const Subgraph& sub = ExtractSubgraphInto(g, {}, SubgraphOptions{}, &ws);
-    EXPECT_EQ(0, sub.graph.num_nodes());
-    std::vector<double> value, scratch;
-    AbsorbingValueTruncated(sub.graph, {}, {}, 15, &ws.kernel, &value,
-                            &scratch);
-    EXPECT_TRUE(value.empty());
-  }
-}
-
-// Apply must also be layout-invariant, bit for bit: the sparse push runs
-// in original id space off the graph's own CSR on every plan, and the
-// dense pull preserves each row's entry order through the permutation.
-// (kSimple is row-stochastic-only, which no Apply caller uses.)
-TEST(WalkKernelTest, ApplyBitIdenticalAcrossBlockedPlans) {
-  const BipartiteGraph g = RandomGraph(45, 35, 0.12, 35000, 3, 2);
-  const int32_t n = g.num_nodes();
-  std::vector<double> dense(n), restart(n), sparse(n, 0.0);
-  for (int32_t v = 0; v < n; ++v) {
-    dense[v] = 0.25 + 0.5 * ((v * 2654435761u) % 97) / 97.0;
-    restart[v] = v % 5 == 0 ? 0.2 : 0.0;
-  }
-  sparse[g.UserNode(7)] = 1.0;  // frontier of one → the push path
-  for (WalkKernel::Normalization norm :
-       {WalkKernel::Normalization::kColumnStochastic,
-        WalkKernel::Normalization::kRaw}) {
-    WalkKernel base;  // auto plan, dispatched ISA
-    base.BuildTransitions(g, norm);
-    std::vector<double> y_dense(n), y_sparse(n);
-    base.Apply(0.85, dense.data(), 0.15, restart.data(), y_dense.data());
-    base.Apply(0.5, sparse.data(), 0.0, nullptr, y_sparse.data());
-    for (bool generic : {false, true}) {
-      for (WalkKernel::SweepMode plan :
-           {WalkKernel::SweepMode::kBlocked,
-            WalkKernel::SweepMode::kBlockedReordered}) {
-        WalkKernel k;
-        if (generic) k.ForceGenericIsaForTesting();
-        k.ForcePlanForTesting(plan);
-        k.BuildTransitions(g, norm);
-        const std::string label = std::string(k.sweep_strategy()) +
-                                  (generic ? "/generic" : "") +
-                                  (norm == WalkKernel::Normalization::kRaw
-                                       ? " raw"
-                                       : " colstoch");
-        std::vector<double> ya(n), yb(n);
-        k.Apply(0.85, dense.data(), 0.15, restart.data(), ya.data());
-        k.Apply(0.5, sparse.data(), 0.0, nullptr, yb.data());
-        for (int32_t v = 0; v < n; ++v) {
-          EXPECT_EQ(y_dense[v], ya[v]) << label << " dense node " << v;
-          EXPECT_EQ(y_sparse[v], yb[v]) << label << " sparse node " << v;
-        }
-      }
-    }
-  }
-}
-
-// Eight workers, each with a private kernel sweeping the SAME shared
-// WalkLayout (the SubgraphCache steady state: one payload, many adopting
-// threads), must all match the single-threaded identity-order sweep bit
-// for bit. The layout is read-only after build; this pins that no sweep
-// mutates shared state.
-TEST(WalkKernelTest, SharedLayoutParityAtOneAndEightThreads) {
-  const BipartiteGraph g = RandomGraph(120, 100, 0.05, 36000, 4, 3);
-  const int32_t n = g.num_nodes();
-  const auto absorbing = RandomAbsorbing(n, 0.15, 36001);
-  const auto costs = RandomCosts(n, 36002);
-  constexpr int kTau = 15;
-
-  WalkKernel identity;
-  identity.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
-  identity.CompileAbsorbingSweep(absorbing, costs);
-  std::vector<double> expected_full, scratch, expected_rank;
-  identity.SweepTruncated(kTau, &expected_full, &scratch);
-  identity.SweepTruncatedItemValues(kTau, &expected_rank);
-
-  auto layout = std::make_shared<WalkLayout>();
-  BuildWalkLayout(g, /*with_row_prob=*/true, layout.get());
-
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    std::vector<std::vector<double>> full(threads), rank(threads);
-    std::vector<std::thread> pool;
-    for (size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        WalkKernel k;
-        k.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic,
-                           layout);
-        k.CompileAbsorbingSweep(absorbing, costs);
-        std::vector<double> s;
-        k.SweepTruncated(kTau, &full[t], &s);
-        k.SweepTruncatedItemValues(kTau, &rank[t]);
-      });
-    }
-    for (auto& th : pool) th.join();
-    for (size_t t = 0; t < threads; ++t) {
-      ASSERT_EQ(expected_full.size(), full[t].size()) << threads << "t";
-      for (size_t v = 0; v < expected_full.size(); ++v) {
-        EXPECT_EQ(expected_full[v], full[t][v])
-            << threads << "t worker " << t << " node " << v;
-      }
-      for (int32_t v = g.num_users(); v < n; ++v) {
-        EXPECT_EQ(expected_rank[v], rank[t][v])
-            << threads << "t worker " << t << " item row " << v;
-      }
-    }
-  }
-}
-
 // The fused multi-query sweep's contract: lane q of the strided value
 // block is bit-identical to a sequential SweepTruncatedItemValues of query
-// q — across every execution plan, both ISA flavours, ragged widths (the
-// lane tail past the last multiple of 4), mixed per-query absorbing sets,
-// and odd/even iteration counts.
+// q — across both ISA flavours, ragged widths (the lane tail past the last
+// multiple of 4), mixed per-query absorbing sets, and odd/even iteration
+// counts.
 TEST(WalkKernelTest, FusedBatchSweepBitIdenticalToSequential) {
-  const WalkKernel::SweepMode plans[] = {
-      WalkKernel::SweepMode::kSimple,
-      WalkKernel::SweepMode::kBlocked,
-      WalkKernel::SweepMode::kBlockedReordered,
-  };
   uint64_t seed = 90000;
   const BipartiteGraph g = RandomGraph(90, 110, 0.10, ++seed, 5, 6);
   const int32_t n = g.num_nodes();
@@ -611,26 +424,22 @@ TEST(WalkKernelTest, FusedBatchSweepBitIdenticalToSequential) {
       absorbing.push_back(RandomAbsorbing(n, 0.15, seed + 100 + q));
     }
     for (bool generic : {false, true}) {
-      for (WalkKernel::SweepMode plan : plans) {
-        for (int tau : {1, 2, 7, 16}) {
-          WalkKernel k;
-          if (generic) k.ForceGenericIsaForTesting();
-          k.ForcePlanForTesting(plan);
-          k.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
-          k.CompileAbsorbingSweepBatch(absorbing, costs);
-          std::vector<double> block;
-          k.SweepTruncatedItemValuesBatch(tau, &block);
-          ASSERT_EQ(static_cast<size_t>(n) * width, block.size());
-          for (int q = 0; q < width; ++q) {
-            k.CompileAbsorbingSweep(absorbing[q], costs);
-            std::vector<double> seq;
-            k.SweepTruncatedItemValues(tau, &seq);
-            for (int32_t v = g.num_users(); v < n; ++v) {
-              ASSERT_EQ(seq[v], block[static_cast<size_t>(v) * width + q])
-                  << k.isa_name() << "/" << k.sweep_strategy() << " width "
-                  << width << " tau " << tau << " lane " << q << " item row "
-                  << v;
-            }
+      for (int tau : {1, 2, 7, 16}) {
+        WalkKernel k;
+        if (generic) k.ForceGenericIsaForTesting();
+        k.BuildTransitions(g, WalkNormalization::kRowStochastic);
+        k.CompileAbsorbingSweepBatch(absorbing, costs);
+        std::vector<double> block;
+        k.SweepTruncatedItemValuesBatch(tau, &block);
+        ASSERT_EQ(static_cast<size_t>(n) * width, block.size());
+        for (int q = 0; q < width; ++q) {
+          k.CompileAbsorbingSweep(absorbing[q], costs);
+          std::vector<double> seq;
+          k.SweepTruncatedItemValues(tau, &seq);
+          for (int32_t v = g.num_users(); v < n; ++v) {
+            ASSERT_EQ(seq[v], block[static_cast<size_t>(v) * width + q])
+                << k.isa_name() << " width " << width << " tau " << tau
+                << " lane " << q << " item row " << v;
           }
         }
       }
@@ -643,12 +452,9 @@ TEST(WalkKernelTest, FusedBatchSweepBitIdenticalToSequential) {
 // drop-in for the sequential sweep even when nothing fuses).
 TEST(WalkKernelTest, FusedBatchHandlesEmptyAndAllAbsorbingLanes) {
   const BipartiteGraph empty = BipartiteGraph::FromAdjacency(0, 0, {});
-  for (WalkKernel::SweepMode plan :
-       {WalkKernel::SweepMode::kSimple, WalkKernel::SweepMode::kBlocked,
-        WalkKernel::SweepMode::kBlockedReordered}) {
+  {
     WalkKernel k;
-    k.ForcePlanForTesting(plan);
-    k.BuildTransitions(empty, WalkKernel::Normalization::kRowStochastic);
+    k.BuildTransitions(empty, WalkNormalization::kRowStochastic);
     k.CompileAbsorbingSweepBatch({{}, {}, {}}, {});
     std::vector<double> block{1.0, 2.0};
     k.SweepTruncatedItemValuesBatch(15, &block);
@@ -663,7 +469,7 @@ TEST(WalkKernelTest, FusedBatchHandlesEmptyAndAllAbsorbingLanes) {
   absorbing.push_back(std::vector<bool>(n, false));  // nothing absorbs
   absorbing.push_back(RandomAbsorbing(n, 0.3, 91003));
   WalkKernel k;
-  k.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
+  k.BuildTransitions(g, WalkNormalization::kRowStochastic);
   k.CompileAbsorbingSweepBatch(absorbing, costs);
   std::vector<double> block;
   k.SweepTruncatedItemValuesBatch(0, &block);
@@ -697,17 +503,15 @@ TEST(WalkKernelTest, FusedBatchSharedPlanParityAtOneAndEightThreads) {
   std::vector<std::vector<double>> expected(kWidth);
   {
     WalkKernel identity;
-    identity.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
+    identity.BuildTransitions(g, WalkNormalization::kRowStochastic);
     for (int q = 0; q < kWidth; ++q) {
       identity.CompileAbsorbingSweep(absorbing[q], costs);
       identity.SweepTruncatedItemValues(kTau, &expected[q]);
     }
   }
 
-  auto layout = std::make_shared<WalkLayout>();
-  BuildWalkLayout(g, /*with_row_prob=*/true, layout.get());
   auto plan = std::make_shared<WalkPlan>();
-  plan->Build(g, WalkNormalization::kRowStochastic, layout);
+  plan->Build(g, WalkNormalization::kRowStochastic);
 
   for (size_t threads : {size_t{1}, size_t{8}}) {
     std::vector<std::vector<double>> blocks(threads);

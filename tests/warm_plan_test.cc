@@ -2,12 +2,13 @@
 // admission. Locks down the PR's three contracts:
 //  1. Sharing — N kernels adopting ONE admission-built plan concurrently
 //     (private scratch each) sweep bit-identically to a kernel that built
-//     its own plan from the same inputs, with and without a layout.
+//     its own plan from the same inputs.
 //  2. Zero copies — a warm (cache-hit) query performs zero BipartiteGraph
 //     copies and zero transition builds: adoption is a shared_ptr store.
-//     The counter test fails on the old deep-copy AdoptSubgraph hit path.
-//  3. Payload completeness — the cache admits subgraph + layout + plan +
-//     node index together; every adopter shares the same plan object, the
+//     The counter test fails on any hit path that deep-copies the payload
+//     graph into the workspace.
+//  3. Payload completeness — the cache admits subgraph + plan + node index
+//     together; every adopter shares the same plan object, the
 //     payload node index answers global→local exactly like a fresh
 //     extraction, and the plan's footprint shows up in the cache stats.
 #include <gtest/gtest.h>
@@ -25,14 +26,12 @@
 #include "graph/subgraph.h"
 #include "graph/subgraph_cache.h"
 #include "graph/walk_kernel.h"
-#include "graph/walk_layout.h"
 
 namespace longtail {
 namespace {
 
 /// Random bipartite graph with `edge_prob` density (same recipe as
-/// walk_kernel_test.cc, so plan decisions are exercised on familiar
-/// shapes).
+/// walk_kernel_test.cc).
 BipartiteGraph RandomGraph(int32_t num_users, int32_t num_items,
                            double edge_prob, uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -80,7 +79,7 @@ std::vector<double> SweepAdopted(const std::shared_ptr<const WalkPlan>& plan,
 }
 
 // One plan, eight concurrently sweeping kernels, bit-identical to a
-// private BuildTransitions — with and without an adopted layout.
+// private BuildTransitions.
 TEST(WarmPlanTest, SharedPlanConcurrentSweepsMatchPrivateBuildBitExactly) {
   const BipartiteGraph g = RandomGraph(160, 140, 0.06, 77);
   const int32_t n = g.num_nodes();
@@ -88,44 +87,34 @@ TEST(WarmPlanTest, SharedPlanConcurrentSweepsMatchPrivateBuildBitExactly) {
   const std::vector<double> costs = RandomCosts(n, 79);
   constexpr int kTau = 15;
 
-  for (const bool with_layout : {false, true}) {
-    std::shared_ptr<const WalkLayout> layout;
-    if (with_layout) {
-      auto built = std::make_shared<WalkLayout>();
-      BuildWalkLayout(g, /*with_row_prob=*/true, built.get());
-      layout = std::move(built);
-    }
-    // Cold path: a kernel that builds its own plan.
-    WalkKernel cold;
-    cold.BuildTransitions(g, WalkNormalization::kRowStochastic, layout);
-    cold.CompileAbsorbingSweep(absorbing, costs);
-    std::vector<double> expected;
-    cold.SweepTruncatedItemValues(kTau, &expected);
+  // Cold path: a kernel that builds its own plan.
+  WalkKernel cold;
+  cold.BuildTransitions(g, WalkNormalization::kRowStochastic);
+  cold.CompileAbsorbingSweep(absorbing, costs);
+  std::vector<double> expected;
+  cold.SweepTruncatedItemValues(kTau, &expected);
 
-    // Warm path: one admission-style plan shared across eight threads.
-    auto plan = std::make_shared<WalkPlan>();
-    plan->Build(g, WalkNormalization::kRowStochastic, layout);
-    ASSERT_TRUE(plan->built());
-    EXPECT_STREQ(cold.sweep_strategy(), plan->sweep_strategy());
-    EXPECT_EQ(cold.reordered(), plan->reordered());
-    EXPECT_GT(plan->OwnedBytes(), 0u);
+  // Warm path: one admission-style plan shared across eight threads.
+  auto plan = std::make_shared<WalkPlan>();
+  plan->Build(g, WalkNormalization::kRowStochastic);
+  ASSERT_TRUE(plan->built());
+  EXPECT_GT(plan->OwnedBytes(), 0u);
 
-    std::vector<std::vector<double>> results(8);
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < results.size(); ++t) {
-      threads.emplace_back([&, t] {
-        results[t] = SweepAdopted(plan, absorbing, costs, kTau);
-      });
-    }
-    for (auto& th : threads) th.join();
-    for (size_t t = 0; t < results.size(); ++t) {
-      ASSERT_EQ(expected.size(), results[t].size());
-      for (size_t v = 0; v < expected.size(); ++v) {
-        // Bit-identical, not approximately equal: adoption must replay
-        // the exact cold-path arithmetic.
-        EXPECT_EQ(expected[v], results[t][v])
-            << "layout=" << with_layout << " thread " << t << " node " << v;
-      }
+  std::vector<std::vector<double>> results(8);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < results.size(); ++t) {
+    threads.emplace_back([&, t] {
+      results[t] = SweepAdopted(plan, absorbing, costs, kTau);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t t = 0; t < results.size(); ++t) {
+    ASSERT_EQ(expected.size(), results[t].size());
+    for (size_t v = 0; v < expected.size(); ++v) {
+      // Bit-identical, not approximately equal: adoption must replay the
+      // exact cold-path arithmetic.
+      EXPECT_EQ(expected[v], results[t][v])
+          << "thread " << t << " node " << v;
     }
   }
 }
@@ -184,8 +173,8 @@ Dataset* WarmPathCacheTest::data_ = nullptr;
 // The PR's headline regression test: a warm query batch performs ZERO
 // BipartiteGraph copies. The cold pass pays admission copies (the counter
 // moving there proves it counts); the warm pass must not move it at all.
-// This test fails on the pre-plan hit path, whose deep-copy AdoptSubgraph
-// copied the payload's induced graph into the workspace on every hit.
+// This test fails on any hit path that copies the payload's induced graph
+// into the workspace.
 TEST_F(WarmPathCacheTest, WarmQueryPerformsZeroGraphCopies) {
   HittingTimeRecommender ht;
   ASSERT_TRUE(ht.Fit(*data_).ok());
