@@ -179,7 +179,7 @@ UserQueryResult ServingHttpFront::SubmitAndWait(const std::string& model,
   if (!engine_->dispatcher_running()) {
     // Dispatcher-less engine (deterministic tests): pump to completion
     // ourselves, mirroring what blocking Query does.
-    engine_->PumpUntilIdle();
+    engine_->Pump();
   }
   return future.get();
 }

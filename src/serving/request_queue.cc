@@ -31,19 +31,11 @@ Status RequestQueue::Enqueue(const ServeRequest& request, uint64_t now_tick,
   return Status::OK();
 }
 
-std::vector<PendingRequest> RequestQueue::TakeBatch(size_t max_batch,
-                                                    uint64_t now_tick,
-                                                    uint64_t flush_after_ticks,
-                                                    bool force) {
-  max_batch = std::max<size_t>(1, max_batch);
+std::vector<PendingRequest> RequestQueue::TakeBatch(size_t max_batch) {
   std::vector<PendingRequest> batch;
   std::lock_guard<std::mutex> lock(mu_);
-  if (pending_.empty()) return batch;
-  const bool full = pending_.size() >= max_batch;
-  const bool aged =
-      now_tick >= pending_.front().enqueue_tick + flush_after_ticks;
-  if (!full && !aged && !force) return batch;
-  const size_t take = std::min(pending_.size(), max_batch);
+  const size_t take =
+      std::min(pending_.size(), std::max<size_t>(1, max_batch));
   batch.reserve(take);
   for (size_t i = 0; i < take; ++i) {
     batch.push_back(std::move(pending_.front()));
@@ -67,13 +59,6 @@ std::vector<PendingRequest> RequestQueue::CloseAndDrain() {
 size_t RequestQueue::depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_.size();
-}
-
-std::optional<uint64_t> RequestQueue::NextFlushTick(
-    uint64_t flush_after_ticks) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pending_.empty()) return std::nullopt;
-  return pending_.front().enqueue_tick + flush_after_ticks;
 }
 
 }  // namespace longtail

@@ -5,14 +5,14 @@
 // Admission is bounded — Enqueue fails fast with a typed
 // Status::ResourceExhausted once `max_depth` requests wait, instead of
 // queueing unboundedly — and batch formation is explicit: TakeBatch hands
-// back up to `max_batch` requests when the batch is *ready* (full, aged
-// past the flush interval, or forced), leaving the rest queued.
+// back up to `max_batch` of the oldest requests whenever any wait, leaving
+// the rest queued.
 //
-// Time is abstract "ticks" read from an EngineClock so micro-batching
-// policy is testable deterministically: production uses SteadyTickClock
-// (1 tick = 1 ms of steady_clock); tests inject a FakeClock and advance it
-// by hand (no sleeps, no flaky timing). Deadlines and queue-latency stats
-// are all expressed in ticks of whichever clock the engine was given.
+// Time is abstract "ticks" read from an EngineClock so deadlines are
+// testable deterministically: production uses SteadyTickClock (1 tick =
+// 1 ms of steady_clock); tests inject a FakeClock and advance it by hand
+// (no sleeps, no flaky timing). Deadlines and queue-latency stats are all
+// expressed in ticks of whichever clock the engine was given.
 #ifndef LONGTAIL_SERVING_REQUEST_QUEUE_H_
 #define LONGTAIL_SERVING_REQUEST_QUEUE_H_
 
@@ -22,7 +22,6 @@
 #include <deque>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -114,14 +113,9 @@ class RequestQueue {
   Status Enqueue(const ServeRequest& request, uint64_t now_tick,
                  std::future<UserQueryResult>* out);
 
-  /// Takes the next batch when one is ready, oldest first:
-  ///  * `depth >= max_batch`  → a full batch of exactly `max_batch`;
-  ///  * else, when forced or the oldest pending request has waited at
-  ///    least `flush_after_ticks` → everything queued (<= max_batch);
-  ///  * otherwise → empty (the batch keeps filling).
-  std::vector<PendingRequest> TakeBatch(size_t max_batch, uint64_t now_tick,
-                                        uint64_t flush_after_ticks,
-                                        bool force);
+  /// Takes up to `max_batch` of the oldest waiting requests; empty only
+  /// when none wait.
+  std::vector<PendingRequest> TakeBatch(size_t max_batch);
 
   /// Rejects all future Enqueues (shutdown) and returns everything still
   /// queued so the caller can fail the promises.
@@ -135,11 +129,6 @@ class RequestQueue {
   size_t peak_depth() const {
     return static_cast<size_t>(peak_depth_.load(std::memory_order_relaxed));
   }
-
-  /// The tick at which the currently-oldest request becomes flushable
-  /// (enqueue + flush_after); nullopt when empty. Lets a dispatcher sleep
-  /// precisely instead of polling blind.
-  std::optional<uint64_t> NextFlushTick(uint64_t flush_after_ticks) const;
 
  private:
   const size_t max_depth_;

@@ -335,8 +335,8 @@ std::vector<UserQueryResult> ServingEngine::QueryAll(
       std::future<UserQueryResult> future = Submit(model, requests[i]);
       if (future.wait_for(std::chrono::seconds(0)) ==
           std::future_status::ready) {
-        // Either rejected at submit or already served by a racing
-        // dispatcher flush; only queue-full rejections are retryable.
+        // Either rejected at submit or already served by the dispatcher;
+        // only queue-full rejections are retryable.
         UserQueryResult ready = future.get();
         if (ready.status.code() != StatusCode::kResourceExhausted) {
           results[i] = std::move(ready);
@@ -354,7 +354,7 @@ std::vector<UserQueryResult> ServingEngine::QueryAll(
           results[i] = std::move(ready);
           break;
         }
-        if (!dispatcher_running()) Pump(/*force=*/true);
+        if (!dispatcher_running()) Pump();
         if (!inflight.empty()) {
           settle_front();
         } else if (dispatcher_running()) {
@@ -368,7 +368,7 @@ std::vector<UserQueryResult> ServingEngine::QueryAll(
       break;
     }
   }
-  if (!dispatcher_running()) PumpUntilIdle();
+  if (!dispatcher_running()) Pump();
   while (!inflight.empty()) settle_front();
   return results;
 }
@@ -383,34 +383,17 @@ void ServingEngine::BackoffOneTick() {
   }
 }
 
-size_t ServingEngine::Pump(bool force) {
+size_t ServingEngine::Pump() {
   size_t taken = 0;
   for (ModelEntry* entry : SnapshotEntries()) {
-    taken += PumpEntry(entry, force);
-  }
-  return taken;
-}
-
-size_t ServingEngine::PumpUntilIdle() {
-  size_t taken = 0;
-  while (true) {
-    const size_t round = Pump(/*force=*/true);
-    if (round == 0) break;
-    taken += round;
-  }
-  return taken;
-}
-
-size_t ServingEngine::PumpEntry(ModelEntry* entry, bool force) {
-  size_t taken = 0;
-  while (true) {
-    std::vector<PendingRequest> batch =
-        entry->queue.TakeBatch(options_.max_batch_size, clock_->NowTicks(),
-                               options_.flush_interval_ticks, force);
-    if (batch.empty()) break;
-    queued_.fetch_sub(batch.size(), std::memory_order_relaxed);
-    taken += batch.size();
-    ExecuteBatch(entry, std::move(batch));
+    while (true) {
+      std::vector<PendingRequest> batch =
+          entry->queue.TakeBatch(options_.max_batch_size);
+      if (batch.empty()) break;
+      queued_.fetch_sub(batch.size(), std::memory_order_relaxed);
+      taken += batch.size();
+      ExecuteBatch(entry, std::move(batch));
+    }
   }
   return taken;
 }
@@ -483,24 +466,18 @@ void ServingEngine::ExecuteBatch(ModelEntry* entry,
 
 void ServingEngine::DispatcherLoop() {
   std::unique_lock<std::mutex> lock(dispatch_mu_);
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    if (queued_.load(std::memory_order_relaxed) == 0) {
-      // Idle: block until a submit (or shutdown) wakes us.
-      dispatch_cv_.wait(lock, [this] {
-        return shutdown_.load(std::memory_order_acquire) ||
-               queued_.load(std::memory_order_relaxed) > 0;
-      });
-      continue;
-    }
+  while (true) {
+    // Sleeps only while every queue is empty; a Submit (or shutdown) wakes
+    // it. Pump keeps taking batches until the queues are empty, so each
+    // batch is whatever arrived while the previous one ran.
+    dispatch_cv_.wait(lock, [this] {
+      return shutdown_.load(std::memory_order_acquire) ||
+             queued_.load(std::memory_order_relaxed) > 0;
+    });
+    if (shutdown_.load(std::memory_order_acquire)) return;
     lock.unlock();
-    const size_t dispatched = Pump(/*force=*/false);
+    Pump();
     lock.lock();
-    if (dispatched == 0) {
-      // Requests are queued but no batch is ready (filling toward
-      // max_batch_size, younger than the flush interval): poll at tick
-      // granularity — 1 tick = 1 ms on the default clock.
-      dispatch_cv_.wait_for(lock, std::chrono::milliseconds(1));
-    }
   }
 }
 

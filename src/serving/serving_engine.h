@@ -13,11 +13,14 @@
 //    overflowing the queue).
 //  * A micro-batcher groups pending requests per model into
 //    admission-controlled batches: a queue at max_queue_depth rejects new
-//    requests fast with Status::ResourceExhausted; a batch dispatches when
-//    it reaches max_batch_size or when its oldest request has waited
-//    flush_interval_ticks. Time is abstract ticks from an injectable
-//    EngineClock (request_queue.h), so tests drive the policy with a
-//    FakeClock and manual Pump() — no sleeps, fully deterministic.
+//    requests fast with Status::ResourceExhausted. Dispatch is
+//    work-conserving: whenever the engine is free it takes whatever is
+//    queued, oldest first and up to max_batch_size, so batches form from
+//    the requests that arrive while the previous batch runs, never from a
+//    timer. Time is abstract ticks from an injectable EngineClock
+//    (request_queue.h), used for deadlines and queue-wait stats, so tests
+//    drive the engine with a FakeClock and manual Pump() — no sleeps,
+//    fully deterministic.
 //  * Requests carry optional deadlines; an over-deadline request fails
 //    with Status::DeadlineExceeded (at submit or at dispatch) and never
 //    occupies walk workers.
@@ -33,11 +36,11 @@
 // server goes disk → serving without ever fitting.
 //
 // Threading: Submit/Query/QueryAll/Pump/Stats are thread-safe. With
-// start_dispatcher (default) a background thread flushes ready batches;
-// with it off the embedder pumps explicitly (deterministic tests, or
-// callers that want batching without an extra thread). Destruction stops
-// the dispatcher and fails every still-queued request with a typed
-// Status — it never blocks on unserved traffic.
+// start_dispatcher (default) a background thread pumps whenever requests
+// are queued; with it off the embedder pumps explicitly (deterministic
+// tests, or callers that want batching without an extra thread).
+// Destruction stops the dispatcher and fails every still-queued request
+// with a typed Status — it never blocks on unserved traffic.
 #ifndef LONGTAIL_SERVING_SERVING_ENGINE_H_
 #define LONGTAIL_SERVING_SERVING_ENGINE_H_
 
@@ -62,14 +65,11 @@
 namespace longtail {
 
 struct ServingEngineOptions {
-  /// A model's batch dispatches as soon as this many requests wait.
+  /// Most requests one executed batch takes off a model's queue.
   size_t max_batch_size = 64;
   /// Admission control: per-model queue depth beyond which Submit fails
   /// fast with ResourceExhausted instead of queueing unboundedly.
   size_t max_queue_depth = 1024;
-  /// A non-full batch dispatches once its oldest request has waited this
-  /// many ticks (latency bound of micro-batching; 0 = every pump).
-  uint64_t flush_interval_ticks = 1;
   /// Worker threads per executed batch (BatchOptions::num_threads):
   /// 0 = hardware concurrency, 1 = the dispatching thread only.
   size_t batch_threads = 0;
@@ -200,13 +200,11 @@ class ServingEngine {
   std::vector<UserQueryResult> QueryAll(
       const std::string& model, std::span<const ServeRequest> requests);
 
-  /// Dispatches every model's ready batches at the current tick (force =
-  /// ignore readiness and flush everything queued). Returns the number of
-  /// requests taken off queues (executed + expired). Thread-safe; the
-  /// embedder's pump and the dispatcher may interleave.
-  size_t Pump(bool force = false);
-  /// Force-pumps until every queue is empty; returns requests dispatched.
-  size_t PumpUntilIdle();
+  /// Drains every model's queue on the calling thread, oldest first, in
+  /// batches of at most max_batch_size. Returns the number of requests
+  /// taken off queues (executed + expired). Thread-safe; the embedder's
+  /// pump and the dispatcher may interleave.
+  size_t Pump();
 
   bool dispatcher_running() const { return dispatcher_.joinable(); }
   uint64_t NowTicks() const { return clock_->NowTicks(); }
@@ -247,8 +245,6 @@ class ServingEngine {
   ModelEntry* FindEntry(const std::string& name) const;
   /// Immediately-ready future carrying a rejection.
   static std::future<UserQueryResult> RejectedFuture(Status status);
-  /// Takes ready batches off one entry; returns requests taken.
-  size_t PumpEntry(ModelEntry* entry, bool force);
   /// Runs one batch through the model, failing expired requests and
   /// fulfilling the rest.
   void ExecuteBatch(ModelEntry* entry, std::vector<PendingRequest> batch);

@@ -253,7 +253,6 @@ TEST(ServingEngineBackpressureTest, QueryRetryBudgetSurfacesRejection) {
   options.clock = &clock;
   options.max_batch_size = 1;
   options.max_queue_depth = 1;
-  options.flush_interval_ticks = 0;
   options.batch_threads = 1;
   options.query_retry_budget = 4;
   ServingEngine engine(options);
@@ -321,7 +320,6 @@ TEST(ServingEngineBackpressureTest, ZeroBudgetSurfacesFirstRejection) {
   options.clock = &clock;
   options.max_batch_size = 1;
   options.max_queue_depth = 1;
-  options.flush_interval_ticks = 0;
   options.batch_threads = 1;
   options.query_retry_budget = 0;
   ServingEngine engine(options);
@@ -369,7 +367,7 @@ TEST(ServingEngineBackpressureTest, ZeroBudgetSurfacesFirstRejection) {
 // ---------------------------------------------------------------- fix 3
 
 // 64 requests enqueued at ticks 1..64, clock jumped to 100, then eight
-// threads race 1-request forced pumps: 64 concurrent queue_ticks_max
+// threads race pumps of 1-request batches: 64 concurrent queue_ticks_max
 // updates with distinct waited values (99 down to 36). The fetch-max must
 // report exactly 99 and the sum exactly sum(100 - t); a plain
 // load-compare-store max drops concurrent updates under this contention.
@@ -409,7 +407,7 @@ TEST(ServingEngineStatsTest, QueueTicksMaxExactUnderConcurrentPumps) {
   for (int p = 0; p < kPumpers; ++p) {
     pumpers.emplace_back([&] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      engine.PumpUntilIdle();
+      engine.Pump();
     });
   }
   go.store(true, std::memory_order_release);
@@ -439,7 +437,6 @@ TEST(ServingEngineMetricsTest, LiveExpositionParsesAndTracksQueues) {
   options.clock = &clock;
   options.start_dispatcher = false;
   options.max_batch_size = 4;
-  options.flush_interval_ticks = 10;
   options.batch_threads = 1;
   ServingEngine engine(options);
   ASSERT_TRUE(engine.AddModel(&model).ok());
@@ -459,7 +456,7 @@ TEST(ServingEngineMetricsTest, LiveExpositionParsesAndTracksQueues) {
   for (int i = 0; i < 3; ++i) {
     futures.push_back(engine.Submit("null", request));
   }
-  // Queue holds 3 (below max_batch_size, below flush age).
+  // Queue holds 3: nothing has pumped yet.
   {
     const std::string text = engine.metrics()->ExportText();
     EXPECT_NE(text.find("longtail_engine_queue_depth{model=\"null\"} 3\n"),
@@ -474,7 +471,7 @@ TEST(ServingEngineMetricsTest, LiveExpositionParsesAndTracksQueues) {
               std::string::npos);
   }
   clock.Advance(5);
-  engine.PumpUntilIdle();
+  engine.Pump();
   for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
   engine.Submit("ghost", request);  // one unknown-model rejection
 

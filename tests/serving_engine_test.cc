@@ -8,8 +8,9 @@
 //     one subgraph extraction.
 //  3. Admission control — queue-full and over-deadline requests fail fast
 //     with typed Statuses (ResourceExhausted / DeadlineExceeded); the
-//     micro-batch flush policy (full batch now, partial batch after the
-//     flush interval) is exercised deterministically on a FakeClock.
+//     work-conserving dispatch policy (a pump takes whatever is queued, in
+//     batches of at most max_batch_size) is exercised deterministically on
+//     a FakeClock that never advances, by hand and by the dispatcher.
 //  4. Lifecycle — destruction with requests still queued resolves every
 //     future (typed failure), never hangs, and is clean under ASan.
 #include "serving/serving_engine.h"
@@ -154,7 +155,6 @@ TEST_F(ServingEngineTest, EngineResultsBitIdenticalToDirectQueryBatch) {
       FakeClock clock;
       ServingEngineOptions options;
       options.max_batch_size = 7;
-      options.flush_interval_ticks = 1;
       options.batch_threads = threads;
       options.subgraph_cache = &cache;
       options.clock = &clock;
@@ -165,8 +165,7 @@ TEST_F(ServingEngineTest, EngineResultsBitIdenticalToDirectQueryBatch) {
       for (const ServeRequest& r : requests) {
         futures.push_back(engine.Submit(rec->name(), r));
       }
-      clock.Advance(1);
-      engine.PumpUntilIdle();
+      engine.Pump();
       const std::string label =
           rec->name() + " @" + std::to_string(threads) + "t";
       for (size_t i = 0; i < futures.size(); ++i) {
@@ -207,7 +206,7 @@ TEST_F(ServingEngineTest, IdenticalConcurrentColdQueriesExtractOnce) {
   for (size_t i = 0; i < kDupes; ++i) {
     futures.push_back(engine.Submit(at->name(), dupe));
   }
-  engine.PumpUntilIdle();
+  engine.Pump();
   for (auto& f : futures) {
     EXPECT_TRUE(f.get().status.ok());
   }
@@ -227,8 +226,6 @@ TEST_F(ServingEngineTest, DeadlinesFailFastWithTypedStatus) {
   auto at = FittedAt();
   FakeClock clock;
   ServingEngineOptions options;
-  options.max_batch_size = 64;  // nothing flushes on size
-  options.flush_interval_ticks = 5;
   options.clock = &clock;
   options.start_dispatcher = false;
   ServingEngine engine(options);
@@ -251,7 +248,6 @@ TEST_F(ServingEngineTest, DeadlinesFailFastWithTypedStatus) {
   queued.top_k = 5;
   queued.deadline_tick = 12;
   auto f2 = engine.Submit(at->name(), queued);
-  EXPECT_EQ(engine.Pump(), 0u);  // tick 10: younger than the flush interval
   clock.Set(20);
   EXPECT_EQ(engine.Pump(), 1u);
   EXPECT_EQ(f2.get().status.code(), StatusCode::kDeadlineExceeded);
@@ -263,7 +259,7 @@ TEST_F(ServingEngineTest, DeadlinesFailFastWithTypedStatus) {
   healthy.deadline_tick = 100;
   auto f3 = engine.Submit(at->name(), healthy);
   clock.Advance(5);
-  engine.PumpUntilIdle();
+  engine.Pump();
   EXPECT_TRUE(f3.get().status.ok());
 
   const EngineStats stats = engine.Stats();
@@ -278,8 +274,6 @@ TEST_F(ServingEngineTest, QueueFullRejectsFastWithResourceExhausted) {
   auto at = FittedAt();
   ServingEngineOptions options;
   options.max_queue_depth = 2;
-  options.max_batch_size = 64;
-  options.flush_interval_ticks = 1000;  // nothing flushes by age here
   options.start_dispatcher = false;
   ServingEngine engine(options);
   ASSERT_TRUE(engine.AddModel(at.get()).ok());
@@ -292,20 +286,20 @@ TEST_F(ServingEngineTest, QueueFullRejectsFastWithResourceExhausted) {
   ASSERT_EQ(f3.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_EQ(f3.get().status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(engine.Stats().rejected_queue_full, 1u);
-  engine.PumpUntilIdle();
+  engine.Pump();
   EXPECT_TRUE(f1.get().status.ok());
   EXPECT_TRUE(f2.get().status.ok());
 }
 
-// Micro-batch flush policy on a FakeClock: a lone request waits out the
-// flush interval; a full batch dispatches at once; the batch-size
-// histogram and queue-latency stats record it all.
-TEST_F(ServingEngineTest, FlushPolicyIsDeterministicOnFakeClock) {
+// Work-conserving dispatch on a FakeClock that never advances: the first
+// pump takes a lone request (nothing waits to fill or to age), and one
+// pump takes all five queued requests at max_batch_size 2 as batches of 2,
+// 2 and 1. The batch-size buckets and queue-latency stats record it all.
+TEST_F(ServingEngineTest, PumpTakesWhateverIsQueuedOnFrozenClock) {
   auto at = FittedAt();
   FakeClock clock;
   ServingEngineOptions options;
   options.max_batch_size = 2;
-  options.flush_interval_ticks = 10;
   options.clock = &clock;
   options.start_dispatcher = false;
   ServingEngine engine(options);
@@ -314,29 +308,42 @@ TEST_F(ServingEngineTest, FlushPolicyIsDeterministicOnFakeClock) {
   r.user = 1;
   r.top_k = 5;
 
-  // One request: not full, not aged — the batch keeps filling.
-  auto f1 = engine.Submit(at->name(), r);
-  EXPECT_EQ(engine.Pump(), 0u);
-  clock.Advance(9);
-  EXPECT_EQ(engine.Pump(), 0u);  // tick 9 < flush interval 10
-  clock.Advance(1);
-  EXPECT_EQ(engine.Pump(), 1u);  // aged out: partial batch of 1
-  EXPECT_TRUE(f1.get().status.ok());
+  auto lone = engine.Submit(at->name(), r);
+  ASSERT_EQ(engine.Pump(), 1u);
+  EXPECT_TRUE(lone.get().status.ok());
+  EXPECT_EQ(engine.Pump(), 0u);  // nothing left
 
-  // Two requests: reaches max_batch_size, dispatches with no wait.
-  auto f2 = engine.Submit(at->name(), r);
-  auto f3 = engine.Submit(at->name(), r);
-  EXPECT_EQ(engine.Pump(), 2u);
-  EXPECT_TRUE(f2.get().status.ok());
-  EXPECT_TRUE(f3.get().status.ok());
+  std::vector<std::future<UserQueryResult>> futures;
+  for (int i = 0; i < 5; ++i) futures.push_back(engine.Submit(at->name(), r));
+  ASSERT_EQ(engine.Pump(), 5u);
+  for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
 
   const EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.batches_executed, 2u);
+  EXPECT_EQ(stats.batches_executed, 4u);
   ASSERT_FALSE(stats.batch_size_pow2.empty());
-  EXPECT_EQ(stats.batch_size_pow2[0], 1u);  // the size-1 flush
-  EXPECT_EQ(stats.batch_size_pow2[1], 1u);  // the size-2 flush
-  EXPECT_EQ(stats.dispatched, 3u);
-  EXPECT_EQ(stats.queue_ticks_max, 10u);  // f1 waited the whole interval
+  EXPECT_EQ(stats.batch_size_pow2[0], 2u);  // the lone request, the last 1
+  EXPECT_EQ(stats.batch_size_pow2[1], 2u);  // the two batches of 2
+  EXPECT_EQ(stats.dispatched, 6u);
+  EXPECT_EQ(stats.queue_ticks_max, 0u);  // the clock never moved
+}
+
+// The live dispatcher never waits on the clock: on a FakeClock that never
+// advances, a lone submitted request still resolves.
+TEST_F(ServingEngineTest, DispatcherServesLoneRequestOnFrozenClock) {
+  auto at = FittedAt();
+  FakeClock clock;
+  ServingEngineOptions options;
+  options.clock = &clock;
+  ServingEngine engine(options);  // dispatcher on
+  ASSERT_TRUE(engine.AddModel(at.get()).ok());
+  ServeRequest r;
+  r.user = 1;
+  r.top_k = 5;
+  std::future<UserQueryResult> f = engine.Submit(at->name(), r);
+  ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+      << "the dispatcher never took a lone request";
+  EXPECT_TRUE(f.get().status.ok());
+  EXPECT_EQ(engine.Stats().queue_ticks_max, 0u);
 }
 
 TEST_F(ServingEngineTest, RegistrationGuards) {
@@ -365,7 +372,6 @@ TEST_F(ServingEngineTest, DispatcherServesBlockingQueries) {
   SubgraphCache cache;
   ServingEngineOptions options;
   options.max_batch_size = 4;
-  options.flush_interval_ticks = 1;
   options.subgraph_cache = &cache;
   ServingEngine engine(options);  // dispatcher on, steady clock
   ASSERT_TRUE(engine.AddModel(at.get()).ok());
@@ -440,7 +446,6 @@ TEST_F(ServingEngineTest, DestructionWithInflightRequestsHammer) {
       ServingEngineOptions options;
       options.max_batch_size = 4;
       options.max_queue_depth = 64;
-      options.flush_interval_ticks = 1;
       options.subgraph_cache = &cache;
       ServingEngine engine(options);  // dispatcher on
       ASSERT_TRUE(engine.AddModel(at.get()).ok());
