@@ -10,8 +10,6 @@
 #include "core/absorbing_time.h"
 #include "core/entropy.h"
 #include "data/generator.h"
-#include "graph/markov.h"
-#include "graph/random_walk.h"
 #include "graph/walk_kernel.h"
 #include "bench/synthetic_walk_graph.h"
 #include "graph/subgraph.h"
@@ -36,20 +34,7 @@ const BipartiteGraph& Graph() {
   return *graph;
 }
 
-void BM_BfsSubgraphExtraction(benchmark::State& state) {
-  const BipartiteGraph& g = Graph();
-  SubgraphOptions options;
-  options.max_items = static_cast<int32_t>(state.range(0));
-  UserId user = 0;
-  for (auto _ : state) {
-    Subgraph sub = ExtractSubgraph(g, {g.UserNode(user)}, options);
-    benchmark::DoNotOptimize(sub.items.size());
-    user = (user + 1) % g.num_users();
-  }
-}
-BENCHMARK(BM_BfsSubgraphExtraction)->Arg(100)->Arg(500)->Arg(0);
-
-// Same extraction through a reused WalkWorkspace: no global-sized lookup
+// BFS extraction through a reused WalkWorkspace: no global-sized lookup
 // tables are allocated per query, which is the batch engine's steady state.
 void BM_BfsSubgraphWorkspace(benchmark::State& state) {
   const BipartiteGraph& g = Graph();
@@ -72,9 +57,15 @@ void BM_AbsorbingTimeTruncated(benchmark::State& state) {
   std::vector<bool> absorbing(g.num_nodes(), false);
   const auto items = Corpus().dataset.UserItems(0);
   for (ItemId i : items) absorbing[g.ItemNode(i)] = true;
+  const std::vector<double> unit(g.num_nodes(), 1.0);
   const int tau = static_cast<int>(state.range(0));
+  WalkKernel kernel;
+  std::vector<double> values;
+  std::vector<double> scratch;
   for (auto _ : state) {
-    auto values = AbsorbingTimeTruncated(g, absorbing, tau);
+    kernel.BuildTransitions(g, WalkNormalization::kRowStochastic);
+    kernel.CompileAbsorbingSweep(absorbing, unit);
+    kernel.SweepTruncated(tau, &values, &scratch);
     benchmark::DoNotOptimize(values.data());
   }
   state.SetItemsProcessed(state.iterations() * tau * g.num_edges() * 2);
@@ -234,14 +225,6 @@ void BM_ItemEntropy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ItemEntropy);
-
-void BM_StationaryDistribution(benchmark::State& state) {
-  for (auto _ : state) {
-    auto pi = StationaryDistribution(Graph());
-    benchmark::DoNotOptimize(pi.data());
-  }
-}
-BENCHMARK(BM_StationaryDistribution);
 
 }  // namespace
 }  // namespace longtail

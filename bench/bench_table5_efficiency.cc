@@ -111,8 +111,8 @@ double WindowHitRate(const SubgraphCacheStats& before,
 /// ones include the per-query BuildTransitions + compile, as in
 /// production):
 ///  * reference — the retained pre-kernel scalar loop;
-///  * kernel full sweep — both sides updated every iteration (the generic
-///    AbsorbingValueTruncated contract);
+///  * kernel full sweep — both sides updated every iteration
+///    (WalkKernel::SweepTruncated, the reference loop's contract);
 ///  * kernel ranking sweep — the production path (item-side output only,
 ///    one side per step, half the edge work).
 /// "rows" are node-rows swept by the full-DP contract (nodes × τ), so the
@@ -199,8 +199,9 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
     {
       WallTimer t;
       for (int r = 0; r < reps; ++r) {
-        AbsorbingValueTruncated(g, absorbing, costs, tau, &kernel, &value,
-                                &scratch);
+        kernel.BuildTransitions(g, WalkNormalization::kRowStochastic);
+        kernel.CompileAbsorbingSweep(absorbing, costs);
+        kernel.SweepTruncated(tau, &value, &scratch);
       }
       full_t[round] = t.ElapsedSeconds();
       checksum_full = 0.0;
@@ -358,7 +359,8 @@ std::vector<KernelTimings> RunKernelBench(const Dataset& d, int tau) {
   for (const auto& size : sizes) {
     SubgraphOptions sub_options;
     sub_options.max_items = size.mu;
-    const Subgraph sub = ExtractSubgraph(graph, seeds, sub_options);
+    WalkWorkspace ws;
+    const Subgraph& sub = ExtractSubgraphInto(graph, seeds, sub_options, &ws);
     const int32_t n = sub.graph.num_nodes();
     if (n == 0) continue;
     // Dedupe: a µ cap past the reachable component yields the same

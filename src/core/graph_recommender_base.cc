@@ -94,12 +94,26 @@ int32_t GraphRecommenderBase::ComponentPayloadOf(
   return payload;
 }
 
-void GraphRecommenderBase::ResolveSubgraph(WalkWorkspace* ws,
+Status GraphRecommenderBase::QuerySeeds(UserId user,
+                                        std::vector<NodeId>* seeds) const {
+  LT_RETURN_IF_ERROR(CheckQueryUser(data_, user));
+  seeds->clear();
+  LT_RETURN_IF_ERROR(SeedNodes(user, seeds));
+  if (seeds->empty()) {
+    return Status::FailedPrecondition(
+        "no seed nodes for user " + std::to_string(user) +
+        " (cold-start users cannot be served by graph recommenders)");
+  }
+  return Status::OK();
+}
+
+void GraphRecommenderBase::ResolveSubgraph(int32_t payload,
+                                           const std::vector<NodeId>& seeds,
+                                           WalkWorkspace* ws,
                                            SubgraphCache* cache) const {
-  const int32_t payload = ComponentPayloadOf(ws->seeds);
   if (payload >= 0) {
     // The whole component, built at Fit/LoadModel: the same subgraph an
-    // extraction from these seeds would produce, without the copy.
+    // extraction from any seed set in it would produce, without the copy.
     ws->AdoptSharedSubgraph(component_payloads_[payload]);
     return;
   }
@@ -111,9 +125,9 @@ void GraphRecommenderBase::ResolveSubgraph(WalkWorkspace* ws,
   // either way. The cache's single-flight front door also coalesces
   // concurrent identical misses into one extraction.
   if (cache != nullptr) {
-    cache->GetOrExtract(graph_, ws->seeds, sub_options, ws);
+    cache->GetOrExtract(graph_, seeds, sub_options, ws);
   } else {
-    ExtractSubgraphInto(graph_, ws->seeds, sub_options, ws);
+    ExtractSubgraphInto(graph_, seeds, sub_options, ws);
   }
 }
 
@@ -246,48 +260,7 @@ Status GraphRecommenderBase::LoadModel(CheckpointReader& reader,
   return Status::OK();
 }
 
-Status GraphRecommenderBase::ComputeWalk(UserId user, WalkWorkspace* ws,
-                                         SubgraphCache* cache) const {
-  LT_RETURN_IF_ERROR(CheckQueryUser(data_, user));
-  ws->seeds.clear();
-  LT_RETURN_IF_ERROR(SeedNodes(user, &ws->seeds));
-  if (ws->seeds.empty()) {
-    return Status::FailedPrecondition(
-        "no seed nodes for user " + std::to_string(user) +
-        " (cold-start users cannot be served by graph recommenders)");
-  }
-  ResolveSubgraph(ws, cache);
-  const Subgraph& sub = ws->sub();
-  AbsorbingFlags(sub, user, &ws->absorbing);
-  NodeCosts(sub, &ws->node_costs);
-  if (options_.exact) {
-    LT_RETURN_IF_ERROR(AbsorbingValueExactInto(sub.graph, ws->absorbing,
-                                               ws->node_costs,
-                                               options_.solver, &ws->values,
-                                               &ws->solver));
-  } else {
-    // Ranking sweep: TopKFromWalk/ScoresFromWalk consume item-side values
-    // only, so the kernel runs the alternating half of the DP those values
-    // depend on (bit-identical item values, half the edge work). User rows
-    // of ws->values hold intermediates and must not be read.
-    if (sub.plan != nullptr) {
-      // Warm path: a shared payload carries the plan built with it.
-      // Adoption is two pointer stores — the query's only remaining
-      // per-node work is the coefficient compile below. Bit-identical to
-      // the cold branch: the payload's build bound the same graph.
-      ws->kernel.AdoptPlan(sub.plan);
-    } else {
-      // Cold path: fresh extraction — rebuild the kernel's own plan.
-      ws->kernel.BuildTransitions(sub.graph,
-                                  WalkNormalization::kRowStochastic);
-    }
-    ws->kernel.CompileAbsorbingSweep(ws->absorbing, ws->node_costs);
-    ws->kernel.SweepTruncatedItemValues(options_.iterations, &ws->values);
-  }
-  return Status::OK();
-}
-
-Result<std::vector<ScoredItem>> GraphRecommenderBase::TopKFromWalk(
+std::vector<ScoredItem> GraphRecommenderBase::TopKFromWalk(
     UserId user, int k, const WalkWorkspace& ws) const {
   const Subgraph& sub = ws.sub();
   const int32_t num_local_users = static_cast<int32_t>(sub.users.size());
@@ -320,31 +293,10 @@ Result<std::vector<double>> GraphRecommenderBase::ScoresFromWalk(
   return scores;
 }
 
-Result<std::vector<ScoredItem>> GraphRecommenderBase::RecommendTopK(
-    UserId user, int k) const {
-  WalkWorkspace& ws = LocalWorkspace();
-  LT_RETURN_IF_ERROR(ComputeWalk(user, &ws, /*cache=*/nullptr));
-  return TopKFromWalk(user, k, ws);
-}
-
-Result<std::vector<double>> GraphRecommenderBase::ScoreItems(
-    UserId user, std::span<const ItemId> items) const {
-  WalkWorkspace& ws = LocalWorkspace();
-  LT_RETURN_IF_ERROR(ComputeWalk(user, &ws, /*cache=*/nullptr));
-  return ScoresFromWalk(items, ws);
-}
-
 void GraphRecommenderBase::ServeFromWalk(const UserQuery& query,
                                          const WalkWorkspace& ws,
                                          UserQueryResult* out) const {
-  if (query.top_k > 0) {
-    auto top = TopKFromWalk(query.user, query.top_k, ws);
-    if (!top.ok()) {
-      out->status = top.status();
-      return;
-    }
-    out->top_k = std::move(top).value();
-  }
+  if (query.top_k > 0) out->top_k = TopKFromWalk(query.user, query.top_k, ws);
   if (!query.score_items.empty()) {
     auto scores = ScoresFromWalk(query.score_items, ws);
     if (!scores.ok()) {
@@ -355,72 +307,88 @@ void GraphRecommenderBase::ServeFromWalk(const UserQuery& query,
   }
 }
 
-UserQueryResult GraphRecommenderBase::RunQuery(const UserQuery& query,
-                                               WalkWorkspace* ws,
-                                               SubgraphCache* cache) const {
-  UserQueryResult out;
-  // An empty query requests nothing: skip the walk entirely and return OK,
-  // matching the default Recommender::QueryBatch (which never invokes the
-  // per-user virtuals for it).
-  if (query.top_k <= 0 && query.score_items.empty()) return out;
-  out.status = ComputeWalk(query.user, ws, cache);
-  if (!out.status.ok()) return out;
-  ServeFromWalk(query, *ws, &out);
-  return out;
+UserQueryResult GraphRecommenderBase::QueryOne(const UserQuery& query) const {
+  // A group of one on this thread's workspace: no pool, no cache.
+  WalkWorkspace& ws = LocalWorkspace();
+  UserQueryResult result;
+  result.status = QuerySeeds(query.user, &ws.seeds);
+  if (result.status.ok()) {
+    const size_t member = 0;
+    RunGroup({&query, 1}, {&member, 1}, ComponentPayloadOf(ws.seeds), ws.seeds,
+             BatchOptions{}, &ws, &result);
+  }
+  return result;
 }
 
-void GraphRecommenderBase::RunFusedGroup(std::span<const UserQuery> queries,
-                                         const size_t* members, int32_t count,
-                                         const BatchOptions& options,
-                                         WalkWorkspace* ws,
-                                         UserQueryResult* results) const {
-  // Resolve the shared subgraph once from the first member's seeds: all
-  // members share its component payload or carry the same exact seed set,
-  // and extraction is a pure function of (graph, seeds, µ), so every
-  // member's sequential RunQuery would have walked this same subgraph.
-  ws->seeds.clear();
-  const Status st = SeedNodes(queries[members[0]].user, &ws->seeds);
-  if (!st.ok() || ws->seeds.empty()) {
-    // Unreachable: phase A validated every member; fail them all rather
-    // than serve garbage if a SeedNodes override is non-deterministic.
-    for (int32_t q = 0; q < count; ++q) {
-      results[members[q]].status =
-          st.ok() ? Status::FailedPrecondition("seed set vanished") : st;
+Result<std::vector<ScoredItem>> GraphRecommenderBase::RecommendTopK(
+    UserId user, int k) const {
+  UserQueryResult result = QueryOne({user, k, {}});
+  if (!result.status.ok()) return result.status;
+  return std::move(result.top_k);
+}
+
+Result<std::vector<double>> GraphRecommenderBase::ScoreItems(
+    UserId user, std::span<const ItemId> items) const {
+  UserQueryResult result = QueryOne({user, 0, items});
+  if (!result.status.ok()) return result.status;
+  return std::move(result.scores);
+}
+
+void GraphRecommenderBase::RunGroup(std::span<const UserQuery> queries,
+                                    std::span<const size_t> members,
+                                    int32_t payload,
+                                    const std::vector<NodeId>& seeds,
+                                    const BatchOptions& options,
+                                    WalkWorkspace* ws,
+                                    UserQueryResult* results) const {
+  // Every member walks this one subgraph: they share its component payload
+  // or carry the same seed set, and extraction is a pure function of
+  // (graph, seeds, µ). Node costs depend on the subgraph alone.
+  ResolveSubgraph(payload, seeds, ws, options.subgraph_cache);
+  const Subgraph& sub = ws->sub();
+  NodeCosts(sub, &ws->node_costs);
+  if (options_.exact) {
+    // The exact solve has no fused form: members solve one at a time.
+    for (const size_t m : members) {
+      AbsorbingFlags(sub, queries[m].user, &ws->absorbing);
+      results[m].status =
+          AbsorbingValueExactInto(sub.graph, ws->absorbing, ws->node_costs,
+                                  options_.solver, &ws->values, &ws->solver);
+      if (results[m].status.ok()) ServeFromWalk(queries[m], *ws, &results[m]);
     }
     return;
   }
-  ResolveSubgraph(ws, options.subgraph_cache);
-  const Subgraph& sub = ws->sub();
-  NodeCosts(sub, &ws->node_costs);
   if (sub.plan != nullptr) {
+    // A shared payload carries the plan built with it: adoption is two
+    // pointer stores, bit-identical to rebuilding it from the same graph.
     ws->kernel.AdoptPlan(sub.plan);
   } else {
     ws->kernel.BuildTransitions(sub.graph, WalkNormalization::kRowStochastic);
   }
+  // Ranking sweeps: TopKFromWalk/ScoresFromWalk read item rows only, so the
+  // kernel runs the alternating half of the DP those rows depend on.
   const int32_t n = sub.graph.num_nodes();
-  int32_t cap = WalkKernel::FusedWidthCap(n);
-  if (options.max_fused_width > 0) {
-    cap = std::min(cap, options.max_fused_width);
-  }
-  for (int32_t begin = 0; begin < count; begin += cap) {
-    const int32_t width = std::min(cap, count - begin);
+  const size_t cap = static_cast<size_t>(WalkKernel::FusedWidthCap(n));
+  for (size_t begin = 0; begin < members.size(); begin += cap) {
+    const std::span<const size_t> lanes =
+        members.subspan(begin, std::min(cap, members.size() - begin));
+    const int32_t width = static_cast<int32_t>(lanes.size());
     if (options.fused_width_observer != nullptr) {
       (*options.fused_width_observer)(width);
     }
     if (width == 1) {
       // A lone lane runs the sequential sweep — same result (a width-1
       // batch is the sequential pass), no strided block to de-interleave.
-      const UserQuery& query = queries[members[begin]];
+      const UserQuery& query = queries[lanes[0]];
       AbsorbingFlags(sub, query.user, &ws->absorbing);
       ws->kernel.CompileAbsorbingSweep(ws->absorbing, ws->node_costs);
       ws->kernel.SweepTruncatedItemValues(options_.iterations, &ws->values);
-      ServeFromWalk(query, *ws, &results[members[begin]]);
+      ServeFromWalk(query, *ws, &results[lanes[0]]);
       continue;
     }
     ws->batch_absorbing.resize(width);
     for (int32_t q = 0; q < width; ++q) {
-      AbsorbingFlags(sub, queries[members[begin + q]].user,
-                     &ws->batch_absorbing[q]);
+      AbsorbingFlags(sub, queries[lanes[q]].user, &ws->batch_absorbing[q]);
     }
     ws->kernel.CompileAbsorbingSweepBatch(ws->batch_absorbing,
                                           ws->node_costs);
@@ -435,8 +403,7 @@ void GraphRecommenderBase::RunFusedGroup(std::span<const UserQuery> queries,
       for (int32_t v = 0; v < n; ++v) {
         ws->values[v] = block[static_cast<size_t>(v) * width + q];
       }
-      ServeFromWalk(queries[members[begin + q]], *ws,
-                    &results[members[begin + q]]);
+      ServeFromWalk(queries[lanes[q]], *ws, &results[lanes[q]]);
     }
   }
 }
@@ -445,81 +412,50 @@ std::vector<UserQueryResult> GraphRecommenderBase::QueryBatch(
     std::span<const UserQuery> queries, const BatchOptions& options) const {
   std::vector<UserQueryResult> results(queries.size());
   if (queries.empty()) return results;
-  ServingPool& pool =
-      options.pool != nullptr ? *options.pool : ServingPool::Global();
-  if (options_.exact) {
-    // The exact solver has no fused path: dispatch per query, claimed one
-    // at a time (grain 1) so skewed subgraph sizes stay balanced, each
-    // thread on its pinned workspace.
-    pool.ParallelFor(
-        queries.size(),
-        [&](size_t i) {
-          results[i] =
-              RunQuery(queries[i], &LocalWorkspace(), options.subgraph_cache);
-        },
-        options.num_threads, /*grain=*/1);
-    return results;
-  }
-  // Phase A (sequential, O(Σ seed set) — cheap next to the walks): compute
-  // every query's seed set and group queries that walk one subgraph: by
-  // component when it has a fit-time payload (the seeds do not matter
-  // there), otherwise by exact seed set (key payload -1). Validation
-  // failures resolve here with statuses identical to the per-query path's;
-  // empty queries keep their default OK result.
-  std::map<std::pair<int32_t, std::vector<NodeId>>, std::vector<size_t>>
-      by_subgraph;
+  // Phase A (sequential, O(Σ seed set) — cheap next to the walks): validate
+  // every query, compute its seed set and group queries that walk one
+  // subgraph: by component when it has a fit-time payload (the seeds do not
+  // matter there, so the key drops them), otherwise by exact seed set (key
+  // payload -1). Failures resolve here with the single-user calls'
+  // statuses; empty queries keep their default OK result.
+  using SubgraphKey = std::pair<int32_t, std::vector<NodeId>>;
+  std::map<SubgraphKey, std::vector<size_t>> by_subgraph;
   {
     std::vector<NodeId> seeds;
     for (size_t i = 0; i < queries.size(); ++i) {
       const UserQuery& q = queries[i];
       if (q.top_k <= 0 && q.score_items.empty()) continue;
-      Status st = CheckQueryUser(data_, q.user);
-      if (st.ok()) {
-        seeds.clear();
-        st = SeedNodes(q.user, &seeds);
-        if (st.ok() && seeds.empty()) {
-          st = Status::FailedPrecondition(
-              "no seed nodes for user " + std::to_string(q.user) +
-              " (cold-start users cannot be served by graph recommenders)");
-        }
-      }
-      if (!st.ok()) {
-        results[i].status = std::move(st);
-        continue;
-      }
+      results[i].status = QuerySeeds(q.user, &seeds);
+      if (!results[i].status.ok()) continue;
       const int32_t payload = ComponentPayloadOf(seeds);
       if (payload >= 0) seeds.clear();
       by_subgraph[{payload, seeds}].push_back(i);
     }
   }
-  // Phase B: flatten the groups into dispatch slices of at most the width
-  // ceiling, so one giant group (every warm query hitting one hot user's
-  // subgraph) still spreads across pool workers; RunFusedGroup re-chunks a
-  // slice further if the probed per-subgraph cap is smaller.
-  const int32_t slice_cap =
-      options.max_fused_width > 0
-          ? std::min<int32_t>(options.max_fused_width,
-                              WalkKernel::kMaxFusedWidth)
-          : 16;
+  // Phase B: split the groups into dispatch slices of at most 16 queries,
+  // so one giant group (every warm query hitting one hot user's subgraph)
+  // still spreads across pool workers; RunGroup re-chunks a slice further
+  // if the probed per-subgraph lane cap is smaller.
+  constexpr size_t kSliceWidth = 16;
   struct Slice {
-    const std::vector<size_t>* members;
-    int32_t begin;
-    int32_t count;
+    const SubgraphKey* key;
+    std::span<const size_t> members;
   };
   std::vector<Slice> slices;
-  for (const auto& entry : by_subgraph) {
-    const std::vector<size_t>& members = entry.second;
-    const int32_t total = static_cast<int32_t>(members.size());
-    for (int32_t b = 0; b < total; b += slice_cap) {
-      slices.push_back({&members, b, std::min(slice_cap, total - b)});
+  for (const auto& [key, members] : by_subgraph) {
+    for (size_t b = 0; b < members.size(); b += kSliceWidth) {
+      const size_t count = std::min(kSliceWidth, members.size() - b);
+      slices.push_back({&key, std::span(members).subspan(b, count)});
     }
   }
+  ServingPool& pool =
+      options.pool != nullptr ? *options.pool : ServingPool::Global();
   pool.ParallelFor(
       slices.size(),
       [&](size_t si) {
         const Slice& s = slices[si];
-        RunFusedGroup(queries, s.members->data() + s.begin, s.count, options,
-                      &LocalWorkspace(), results.data());
+        RunGroup(queries, s.members, s.key->first, s.key->second, options,
+                 &LocalWorkspace(), results.data());
       },
       options.num_threads, /*grain=*/1);
   return results;

@@ -6,14 +6,15 @@
 // → rank items by smallest time/cost. See docs/ARCHITECTURE.md for the
 // full serving pipeline and docs/KERNELS.md for the kernel.
 //
-// All query state lives in a WalkWorkspace, so the per-query walk performs
-// no global-sized heap allocation in the steady state. Every thread —
-// single-user callers and serving-pool workers alike — pins one
-// thread-local workspace; QueryBatch fans queries out over the
-// process-lifetime ServingPool (no per-batch thread spawn, workspaces stay
-// warm across batches), serves the top-k and candidate-scoring halves of a
-// query from a single walk, and can reuse extracted subgraphs through a
-// shared SubgraphCache (BatchOptions::subgraph_cache).
+// Every query runs through one walk, RunGroup: a group of queries that
+// share a subgraph resolves it once and sweeps its members as fused lanes.
+// QueryBatch groups its queries and fans the groups out over the
+// process-lifetime ServingPool; RecommendTopK and ScoreItems are a group
+// of one on the calling thread. All query state lives in a WalkWorkspace
+// pinned to each thread, so the walk performs no global-sized heap
+// allocation in the steady state, and workspaces stay warm across
+// batches. Batches can reuse extracted subgraphs through a shared
+// SubgraphCache (BatchOptions::subgraph_cache).
 //
 // When µ cannot cap a user's subgraph (µ <= 0, or the user's connected
 // component has at most µ items) the subgraph is the whole component,
@@ -64,8 +65,9 @@ class GraphRecommenderBase : public Recommender {
   /// Runs one walk for `user` and returns up to `k` unrated items ranked
   /// by smallest time/cost (ScoredItem::score is the negated walk value,
   /// so larger = better as everywhere else). Items outside the extracted
-  /// subgraph or unreachable from the absorbing set are never returned.
-  /// FailedPrecondition for unfitted models and cold-start users.
+  /// subgraph or unreachable from the absorbing set are never returned;
+  /// k <= 0 returns an empty list. FailedPrecondition for unfitted models
+  /// and cold-start users, OutOfRange for unknown users.
   Result<std::vector<ScoredItem>> RecommendTopK(UserId user,
                                                 int k) const override;
 
@@ -81,11 +83,12 @@ class GraphRecommenderBase : public Recommender {
   /// sets are identical (extraction being a pure function of (graph,
   /// seeds, µ)). The shared subgraph is resolved once, each query compiles
   /// its own absorbing lane, and a single CSR pass per truncated iteration
-  /// advances all lanes (SpMV → SpMM; see docs/KERNELS.md).
-  /// Groups and singletons fan out on the long-lived ServingPool with one
-  /// pinned WalkWorkspace per worker thread. Results are bit-identical to
-  /// the sequential per-user calls at any thread count, any fused width,
-  /// with or without a subgraph cache.
+  /// advances all lanes (SpMV → SpMM; see docs/KERNELS.md). Exact-solver
+  /// walkers group the same way and solve each member on the shared
+  /// subgraph. Groups fan out on the long-lived ServingPool in slices of
+  /// at most 16 queries, with one pinned WalkWorkspace per worker thread.
+  /// Results are bit-identical to the single-user calls at any thread
+  /// count, with or without a subgraph cache.
   std::vector<UserQueryResult> QueryBatch(
       std::span<const UserQuery> queries,
       const BatchOptions& options = {}) const override;
@@ -158,40 +161,39 @@ class GraphRecommenderBase : public Recommender {
   /// Index into component_payloads_ of the component holding every seed;
   /// -1 when it has no payload or the seeds span components.
   int32_t ComponentPayloadOf(const std::vector<NodeId>& seeds) const;
-  /// Installs the subgraph for ws->seeds into ws->sub(): the component
-  /// payload when there is one (the cache is not consulted), else adopted
-  /// from `cache` on a hit, extracted — and inserted — on a miss (nullptr
-  /// disables caching).
-  void ResolveSubgraph(WalkWorkspace* ws, SubgraphCache* cache) const;
-  /// Runs Algorithm 1 for one user: subgraph into ws->sub()
-  /// (ResolveSubgraph), walk values into ws->values. On the default
-  /// truncated path only the item rows (local ids >= sub().users.size())
-  /// are valid — the kernel's ranking sweep leaves user rows as
-  /// intermediates — and all values are finite; the exact path fills
-  /// every row and marks unreachable nodes +inf. TopKFromWalk /
-  /// ScoresFromWalk read item rows only and treat non-finite as
-  /// unreachable, which is correct for both.
-  Status ComputeWalk(UserId user, WalkWorkspace* ws,
-                     SubgraphCache* cache) const;
-  /// Serves one batched query from a single walk.
-  UserQueryResult RunQuery(const UserQuery& query, WalkWorkspace* ws,
-                           SubgraphCache* cache) const;
+  /// Validates a query for `user` and writes its non-empty seed set into
+  /// `*seeds`: FailedPrecondition for an unfitted model or a cold-start
+  /// user, OutOfRange for an unknown one. Both the single-user calls and
+  /// QueryBatch validate here.
+  Status QuerySeeds(UserId user, std::vector<NodeId>* seeds) const;
+  /// Installs a group's subgraph into ws->sub(): component payload
+  /// `payload` when >= 0 (`seeds` and the cache are not consulted), else
+  /// the extraction from `seeds` — adopted from `cache` on a hit, extracted
+  /// and inserted on a miss (nullptr disables caching).
+  void ResolveSubgraph(int32_t payload, const std::vector<NodeId>& seeds,
+                       WalkWorkspace* ws, SubgraphCache* cache) const;
+  /// The one walk (Algorithm 1). Serves the queries `members` index, which
+  /// all walk one subgraph (ResolveSubgraph's `payload` and `seeds`):
+  /// resolves it and its node costs once, then per member either solves
+  /// exactly (options_.exact) or sweeps τ truncated iterations — alone, or
+  /// as fused lanes in chunks of at most WalkKernel::FusedWidthCap. Fused
+  /// lanes are bit-identical to lone sweeps. Callers guarantee that every
+  /// member passed QuerySeeds and requests something; `seeds` may alias
+  /// ws->seeds.
+  void RunGroup(std::span<const UserQuery> queries,
+                std::span<const size_t> members, int32_t payload,
+                const std::vector<NodeId>& seeds, const BatchOptions& options,
+                WalkWorkspace* ws, UserQueryResult* results) const;
+  /// A single-user call: QuerySeeds, then RunGroup with one member on the
+  /// calling thread's workspace, without a pool or a cache.
+  UserQueryResult QueryOne(const UserQuery& query) const;
   /// Serves the top-k and scoring halves of `query` from the walk values
-  /// already in `ws` (shared by RunQuery and the fused group path).
+  /// in `ws`. Item rows of ws.values must be valid; non-finite values
+  /// mean unreachable.
   void ServeFromWalk(const UserQuery& query, const WalkWorkspace& ws,
                      UserQueryResult* out) const;
-  /// Serves `count` queries (indices `members[0..count)`) that walk one
-  /// subgraph — one component payload, or one exact seed set: resolves the
-  /// subgraph once, then sweeps the queries as fused lanes in chunks of at
-  /// most the probed width cap. Results are bit-identical to per-query
-  /// RunQuery. Callers guarantee every member passed phase-A validation
-  /// (fitted model, non-empty seeds, non-empty query).
-  void RunFusedGroup(std::span<const UserQuery> queries,
-                     const size_t* members, int32_t count,
-                     const BatchOptions& options, WalkWorkspace* ws,
-                     UserQueryResult* results) const;
-  Result<std::vector<ScoredItem>> TopKFromWalk(UserId user, int k,
-                                               const WalkWorkspace& ws) const;
+  std::vector<ScoredItem> TopKFromWalk(UserId user, int k,
+                                       const WalkWorkspace& ws) const;
   Result<std::vector<double>> ScoresFromWalk(std::span<const ItemId> items,
                                              const WalkWorkspace& ws) const;
 

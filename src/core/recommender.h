@@ -70,20 +70,13 @@ struct BatchOptions {
   /// it. The cache may be shared across recommenders and concurrent
   /// batches.
   SubgraphCache* subgraph_cache = nullptr;
-  /// Fused multi-query sweep width ceiling for graph recommenders: queries
-  /// that share one subgraph (one exact seed set, or one component the µ
-  /// cap cannot bound, whatever the seeds) sweep as K
-  /// interleaved lanes of a single CSR pass (see docs/KERNELS.md). 0 =
-  /// probe the cap from the machine's cache geometry
-  /// (WalkKernel::FusedWidthCap), otherwise an explicit ceiling (1 = every
-  /// query sweeps alone, still grouped onto its shared subgraph). Results
-  /// are bit-identical at every setting; other recommenders ignore it.
-  int32_t max_fused_width = 0;
-  /// Optional observer invoked once per dispatched fused sweep with its
-  /// width (1 for queries that found no partner). May be called
-  /// concurrently from pool workers; the ServingEngine points this at its
-  /// longtail_engine_fused_width histogram. Not called for exact-solver
-  /// walkers or by non-graph recommenders.
+  /// Optional observer invoked once per dispatched truncated sweep with its
+  /// width: the number of queries that shared one subgraph and advanced as
+  /// interleaved lanes of one CSR pass (1 for queries that found no
+  /// partner). May be called concurrently from pool workers; the
+  /// ServingEngine points this at its longtail_engine_fused_width
+  /// histogram. Not called for exact-solver walkers or by non-graph
+  /// recommenders.
   const std::function<void(int32_t width)>* fused_width_observer = nullptr;
 };
 
@@ -148,8 +141,8 @@ class Recommender {
   /// Serves a batch of queries; results align with `queries`. The default
   /// loops over the per-user virtuals (parallelised across the batch when
   /// `options.num_threads != 1`, which the thread-safe-query contract
-  /// permits). GraphRecommenderBase overrides this with a fused walk per
-  /// query and per-worker reusable workspaces.
+  /// permits). GraphRecommenderBase overrides this with one fused walk per
+  /// group of queries that share a subgraph, on per-worker workspaces.
   virtual std::vector<UserQueryResult> QueryBatch(
       std::span<const UserQuery> queries,
       const BatchOptions& options = {}) const;

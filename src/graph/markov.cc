@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "graph/walk_kernel.h"
 #include "util/logging.h"
 
 namespace longtail {
@@ -77,42 +76,6 @@ void AbsorbingValueTruncatedReference(const BipartiteGraph& g,
   }
 }
 
-void AbsorbingValueTruncated(const BipartiteGraph& g,
-                             const std::vector<bool>& absorbing,
-                             const std::vector<double>& node_cost,
-                             int iterations, WalkKernel* kernel,
-                             std::vector<double>* value,
-                             std::vector<double>* scratch) {
-  // One-shot entry point: builds the kernel's private plan in place. The
-  // serving path never comes through here — cached subgraphs carry an
-  // admission-built WalkPlan the kernel adopts instead (see
-  // graph_recommender_base.cc ComputeWalk).
-  kernel->BuildTransitions(g, WalkNormalization::kRowStochastic);
-  kernel->CompileAbsorbingSweep(absorbing, node_cost);
-  kernel->SweepTruncated(iterations, value, scratch);
-}
-
-void AbsorbingValueTruncated(const BipartiteGraph& g,
-                             const std::vector<bool>& absorbing,
-                             const std::vector<double>& node_cost,
-                             int iterations, std::vector<double>* value_out,
-                             std::vector<double>* scratch) {
-  WalkKernel kernel;
-  AbsorbingValueTruncated(g, absorbing, node_cost, iterations, &kernel,
-                          value_out, scratch);
-}
-
-std::vector<double> AbsorbingValueTruncated(const BipartiteGraph& g,
-                                            const std::vector<bool>& absorbing,
-                                            const std::vector<double>& node_cost,
-                                            int iterations) {
-  std::vector<double> value;
-  std::vector<double> scratch;
-  AbsorbingValueTruncated(g, absorbing, node_cost, iterations, &value,
-                          &scratch);
-  return value;
-}
-
 Status AbsorbingValueExactInto(const BipartiteGraph& g,
                                const std::vector<bool>& absorbing,
                                const std::vector<double>& node_cost,
@@ -171,41 +134,6 @@ Status AbsorbingValueExactInto(const BipartiteGraph& g,
   return Status::OK();
 }
 
-Result<std::vector<double>> AbsorbingValueExact(
-    const BipartiteGraph& g, const std::vector<bool>& absorbing,
-    const std::vector<double>& node_cost, const SolverOptions& options) {
-  std::vector<double> value;
-  SolverScratch scratch;
-  LT_RETURN_IF_ERROR(AbsorbingValueExactInto(g, absorbing, node_cost, options,
-                                             &value, &scratch));
-  return value;
-}
-
-std::vector<double> AbsorbingTimeTruncated(const BipartiteGraph& g,
-                                           const std::vector<bool>& absorbing,
-                                           int iterations) {
-  return AbsorbingValueTruncated(
-      g, absorbing, std::vector<double>(g.num_nodes(), 1.0), iterations);
-}
-
-Result<std::vector<double>> AbsorbingTimeExact(const BipartiteGraph& g,
-                                               const std::vector<bool>& absorbing,
-                                               const SolverOptions& options) {
-  return AbsorbingValueExact(g, absorbing,
-                             std::vector<double>(g.num_nodes(), 1.0), options);
-}
-
-Result<std::vector<double>> HittingTimeExact(const BipartiteGraph& g,
-                                             NodeId target,
-                                             const SolverOptions& options) {
-  if (target < 0 || target >= g.num_nodes()) {
-    return Status::OutOfRange("hitting-time target node out of range");
-  }
-  std::vector<bool> absorbing(g.num_nodes(), false);
-  absorbing[target] = true;
-  return AbsorbingTimeExact(g, absorbing, options);
-}
-
 void EntropyNodeCostsInto(const BipartiteGraph& g,
                           const std::vector<double>& user_entropy,
                           double user_jump_cost, std::vector<double>* cost_out) {
@@ -232,14 +160,6 @@ void EntropyNodeCostsInto(const BipartiteGraph& g,
     }
     cost[v] = acc / d;
   }
-}
-
-std::vector<double> EntropyNodeCosts(const BipartiteGraph& g,
-                                     const std::vector<double>& user_entropy,
-                                     double user_jump_cost) {
-  std::vector<double> cost;
-  EntropyNodeCostsInto(g, user_entropy, user_jump_cost, &cost);
-  return cost;
 }
 
 }  // namespace longtail

@@ -81,24 +81,12 @@ NodeId SubgraphNodeIndex::LocalItem(ItemId global_item) const {
 
 NodeId Subgraph::LocalUserNode(UserId global_user) const {
   if (workspace_ != nullptr) return workspace_->LocalUser(global_user);
-  if (node_index.built()) return node_index.LocalUser(global_user);
-  if (global_user < 0 ||
-      global_user >= static_cast<int32_t>(global_user_to_local.size())) {
-    return -1;
-  }
-  return global_user_to_local[global_user];
+  return node_index.LocalUser(global_user);
 }
 
 NodeId Subgraph::LocalItemNode(ItemId global_item) const {
   if (workspace_ != nullptr) return workspace_->LocalItem(global_item);
-  if (node_index.built()) return node_index.LocalItem(global_item);
-  if (global_item < 0 ||
-      global_item >= static_cast<int32_t>(global_item_to_local.size())) {
-    return -1;
-  }
-  const int32_t local_item = global_item_to_local[global_item];
-  if (local_item < 0) return -1;
-  return static_cast<NodeId>(users.size()) + local_item;
+  return node_index.LocalItem(global_item);
 }
 
 void WalkWorkspace::AdoptSharedSubgraph(std::shared_ptr<const Subgraph> src) {
@@ -110,8 +98,6 @@ void WalkWorkspace::AdoptSharedSubgraph(std::shared_ptr<const Subgraph> src) {
 }
 
 std::shared_ptr<const Subgraph> DetachSharedSubgraph(const WalkWorkspace& ws) {
-  // Reverse-lookup tables stay empty: adopters answer global→local queries
-  // from the compact node index built below.
   auto sub = std::make_shared<Subgraph>();
   sub->graph = ws.sub().graph.CompactCopy();
   sub->users = ws.sub().users;
@@ -155,8 +141,6 @@ Subgraph& ExtractSubgraphInto(const BipartiteGraph& g,
   sub.workspace_ = workspace;
   sub.users.clear();
   sub.items.clear();
-  sub.global_user_to_local.clear();
-  sub.global_item_to_local.clear();
   // A fresh extraction has no plan or node index; the SubgraphCache builds
   // both when (and only when) it admits this subgraph as a payload.
   sub.plan.reset();
@@ -242,25 +226,6 @@ Subgraph& ExtractSubgraphInto(const BipartiteGraph& g,
     }
   }
   sub.graph.FinishAssign();
-  return sub;
-}
-
-Subgraph ExtractSubgraph(const BipartiteGraph& g,
-                         const std::vector<NodeId>& seed_nodes,
-                         const SubgraphOptions& options) {
-  WalkWorkspace workspace;
-  Subgraph sub = std::move(ExtractSubgraphInto(g, seed_nodes, options,
-                                               &workspace));
-  // Detach from the dying workspace: materialize the owned lookup tables.
-  sub.workspace_ = nullptr;
-  sub.global_user_to_local.assign(g.num_users(), -1);
-  sub.global_item_to_local.assign(g.num_items(), -1);
-  for (size_t lu = 0; lu < sub.users.size(); ++lu) {
-    sub.global_user_to_local[sub.users[lu]] = static_cast<int32_t>(lu);
-  }
-  for (size_t li = 0; li < sub.items.size(); ++li) {
-    sub.global_item_to_local[sub.items[li]] = static_cast<int32_t>(li);
-  }
   return sub;
 }
 

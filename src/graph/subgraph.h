@@ -6,10 +6,7 @@
 // edges between visited nodes, and the mapping back to global ids is
 // retained so results can be reported in dataset coordinates.
 //
-// Three ways a workspace comes to hold a subgraph:
-//  * ExtractSubgraph     — allocating; returns a self-contained Subgraph
-//    with owned O(num_users + num_items) reverse-lookup tables. Simple, but
-//    too expensive to run once per query under load.
+// Two ways a workspace comes to hold a subgraph:
 //  * ExtractSubgraphInto — writes into a caller-owned WalkWorkspace. The
 //    global-sized lookup tables are allocated once per workspace and
 //    invalidated between queries in O(1) via an epoch stamp, so the steady
@@ -83,8 +80,16 @@ class SubgraphNodeIndex {
 };
 
 /// An induced subgraph with local⇄global node mappings. Local node ids
-/// follow the same convention (users first, then items).
+/// follow the same convention (users first, then items). Move-only: a
+/// workspace's subgraph is a view answering lookups from the workspace's
+/// tables, so a copy would silently follow the workspace's next extraction.
 struct Subgraph {
+  Subgraph() = default;
+  Subgraph(const Subgraph&) = delete;
+  Subgraph& operator=(const Subgraph&) = delete;
+  Subgraph(Subgraph&&) = default;
+  Subgraph& operator=(Subgraph&&) = default;
+
   BipartiteGraph graph;
   /// local user id → global UserId.
   std::vector<UserId> users;
@@ -107,28 +112,16 @@ struct Subgraph {
   /// Local *node* id (not local user/item index) of a global user/item:
   /// users map to [0, users.size()), items to [users.size(),
   /// num_nodes()). Returns -1 when the global id is absent from the
-  /// subgraph or out of range; never aborts. O(1) every way (the backing
-  /// workspace's epoch-stamped tables, the payload node index, or the
-  /// owned tables — consulted in that order).
+  /// subgraph or out of range; never aborts. O(1) either way (the backing
+  /// workspace's epoch-stamped tables, or the payload node index).
   NodeId LocalUserNode(UserId global_user) const;
   NodeId LocalItemNode(ItemId global_item) const;
 
-  /// Reverse lookup tables (sized to the global graph); built by the
-  /// allocating ExtractSubgraph. Workspace-backed subgraphs leave these
-  /// empty and answer lookups from the workspace's epoch-stamped tables;
-  /// payloads answer from node_index.
-  std::vector<int32_t> global_user_to_local;
-  std::vector<int32_t> global_item_to_local;
-
  private:
-  friend class WalkWorkspace;
   friend Subgraph& ExtractSubgraphInto(const BipartiteGraph& g,
                                        const std::vector<NodeId>& seed_nodes,
                                        const SubgraphOptions& options,
                                        WalkWorkspace* workspace);
-  friend Subgraph ExtractSubgraph(const BipartiteGraph& g,
-                                  const std::vector<NodeId>& seed_nodes,
-                                  const SubgraphOptions& options);
   /// Set by ExtractSubgraphInto; a workspace-backed subgraph is a view that
   /// stays valid only until the workspace's next extraction.
   const WalkWorkspace* workspace_ = nullptr;
@@ -208,7 +201,6 @@ class WalkWorkspace {
   std::vector<bool> absorbing;
   std::vector<double> node_costs;
   std::vector<double> values;
-  std::vector<double> dp_scratch;
   /// Fused multi-query scratch: one absorbing vector per fused lane, and
   /// the K-strided value block SweepTruncatedItemValuesBatch fills (lane q
   /// of node v at values_block[v·K + q]).
@@ -249,21 +241,15 @@ class WalkWorkspace {
 };
 
 /// Extracts the BFS-induced subgraph around `seed_nodes` (global node
-/// ids; every entry must be in [0, g.num_nodes()), checked). Seeds are
-/// always included; an empty seed set yields an empty subgraph. Expansion
-/// is level-by-level; the level that crosses the µ cap is truncated
-/// mid-level in insertion order, which keeps the item count within
-/// [µ, µ + level width). Every non-seed node enters via an edge, so the
-/// induced graph has no isolated non-seed nodes. Local ids follow the
-/// ordering contract in the file comment.
-Subgraph ExtractSubgraph(const BipartiteGraph& g,
-                         const std::vector<NodeId>& seed_nodes,
-                         const SubgraphOptions& options = {});
-
-/// Workspace flavour of ExtractSubgraph: identical output, but the subgraph
-/// and every lookup table live in `workspace` and are reused across calls.
-/// The returned reference is invalidated by the next call on the same
-/// workspace.
+/// ids; every entry must be in [0, g.num_nodes()), checked) into
+/// `workspace`, whose lookup tables and buffers are reused across calls.
+/// Seeds are always included; an empty seed set yields an empty subgraph.
+/// Expansion is level-by-level; the level that crosses the µ cap is
+/// truncated mid-level in insertion order, which keeps the item count
+/// within [µ, µ + level width). Every non-seed node enters via an edge, so
+/// the induced graph has no isolated non-seed nodes. Local ids follow the
+/// ordering contract in the file comment. The returned reference is
+/// invalidated by the next call on the same workspace.
 Subgraph& ExtractSubgraphInto(const BipartiteGraph& g,
                               const std::vector<NodeId>& seed_nodes,
                               const SubgraphOptions& options,

@@ -2,7 +2,7 @@
 // random-walk sweep in the system.
 //
 // Before this subsystem existed, five call sites — the truncated DP behind
-// HT/AT/AC1/AC2 (markov.cc via graph_recommender_base.cc) and the PPR/Katz
+// HT/AT/AC1/AC2 (graph_recommender_base.cc) and the PPR/Katz
 // power iterations (baselines/pagerank.cc, baselines/katz.cc) — each kept a
 // bespoke loop over BipartiteGraph adjacency, re-deriving transition
 // probabilities (a weighted-degree load plus a divide per row) and
@@ -132,10 +132,6 @@ class WalkPlan {
 
   /// True once Build has run.
   bool built() const { return graph_ != nullptr; }
-  /// The graph the plan was built from (nullptr before Build).
-  const BipartiteGraph* graph() const { return graph_; }
-  WalkNormalization normalization() const { return norm_; }
-  int32_t num_nodes() const { return num_nodes_; }
   /// Heap bytes this plan owns beyond the graph it points into (the
   /// materialized transition values, if any). The SubgraphCache adds this
   /// to its resident-byte accounting.
@@ -210,23 +206,10 @@ class WalkKernel {
   /// adopt one plan and sweep concurrently.
   void AdoptPlan(std::shared_ptr<const WalkPlan> plan);
 
-  /// True once BuildTransitions or AdoptPlan has bound a plan; sweeps
-  /// LT_CHECK this.
-  bool has_transitions() const { return plan_ != nullptr; }
-  /// The bound plan (nullptr before any build/adopt).
-  const WalkPlan* plan() const { return plan_; }
-  /// The graph the bound plan was built from (nullptr before any build).
-  const BipartiteGraph* graph() const {
-    return plan_ != nullptr ? plan_->graph_ : nullptr;
-  }
-  WalkNormalization normalization() const {
-    return plan_ != nullptr ? plan_->norm_ : WalkNormalization::kRowStochastic;
-  }
-
   /// Compiles one query's absorbing flags and per-node immediate costs
   /// into the branch-free coefficient vectors. Requires kRowStochastic
   /// transitions for the current graph. `absorbing` and `node_cost` are
-  /// local (subgraph) node-indexed, sizes == graph()->num_nodes();
+  /// local (subgraph) node-indexed, sizes == the bound graph's num_nodes();
   /// `node_cost[v]` is the cost paid per step leaving v (1.0 for absorbing
   /// *time*, the Eq. 9 entropy costs for absorbing *cost*). Absorbing
   /// nodes are pinned at exactly 0 regardless of cost. O(nodes). Writes
@@ -284,9 +267,6 @@ class WalkKernel {
   /// sweep counters (GetWalkKernelFusedStats).
   void SweepTruncatedItemValuesBatch(int iterations,
                                      std::vector<double>* value_block) const;
-
-  /// Width of the last CompileAbsorbingSweepBatch (0 before any).
-  int32_t fused_width() const { return batch_width_; }
 
   /// The fusion width cap for a graph of `num_nodes` local nodes: 16 while
   /// a 16-lane value block still fits the probed L2 (small cached

@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/markov.h"
 #include "test_util.h"
 
 namespace longtail {
 namespace {
 
+using testing::ExactValues;
 using testing::MakeFigure2Dataset;
+using testing::UnitCosts;
 
 GraphWalkOptions ExactOptions() {
   GraphWalkOptions options;
@@ -35,7 +36,7 @@ TEST(AbsorbingTimeRecommenderTest, MatchesManualAbsorbingTime) {
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.ItemNode(testing::kM2)] = true;
   absorbing[g.ItemNode(testing::kM3)] = true;
-  auto manual = AbsorbingTimeExact(g, absorbing);
+  auto manual = ExactValues(g, absorbing, UnitCosts(g));
   ASSERT_TRUE(manual.ok());
 
   AbsorbingTimeRecommender rec(ExactOptions());
@@ -56,7 +57,9 @@ TEST(AbsorbingTimeRecommenderTest, SingletonSetEqualsHittingTimeToItem) {
       {{0, 0, 5.0f}, {1, 0, 4.0f}, {1, 1, 3.0f}, {2, 1, 5.0f}, {2, 2, 2.0f}});
   ASSERT_TRUE(d.ok());
   BipartiteGraph g = BipartiteGraph::FromDataset(*d);
-  auto hit = HittingTimeExact(g, g.ItemNode(0));
+  std::vector<bool> target(g.num_nodes(), false);
+  target[g.ItemNode(0)] = true;
+  auto hit = ExactValues(g, target, UnitCosts(g));  // H(item 0|·)
   ASSERT_TRUE(hit.ok());
 
   AbsorbingTimeRecommender rec(ExactOptions());

@@ -5,10 +5,12 @@
 //  1. Parity — HT, AT, AC1 and AC2 at µ = 0 (a connected corpus and a
 //     two-component one), and with µ binding on only one of the two
 //     components, return bit-identical results on every delivery path:
-//     RecommendTopK/ScoreItems, QueryBatch at 1 and 8 threads and fused
-//     widths 0/1/3 with and without a SubgraphCache, a hand-assembled
-//     ExtractSubgraphInto + BuildTransitions pipeline, and a checkpoint
-//     round-trip (LoadModel rebuilds the payloads).
+//     RecommendTopK/ScoreItems (a group of one), QueryBatch at 1 and 8
+//     threads with and without a SubgraphCache (40 queries of one
+//     component at µ = 0, so fused slices of 16, 16 and 8, and duplicate
+//     users), a hand-assembled ExtractSubgraphInto + BuildTransitions
+//     pipeline, and a checkpoint round-trip (LoadModel rebuilds the
+//     payloads).
 //  2. Fusion — distinct users of one component share fused sweeps.
 //  3. Cache bypass — payload-served queries never touch the cache, while
 //     queries in a component where µ binds still extract through it.
@@ -194,10 +196,14 @@ TEST_F(ComponentWalkTest, EveryDeliveryPathIsBitIdentical) {
   };
   const std::vector<ItemId> candidates = {1, 4, 9, 33, 52, 61, 77};
   for (const auto& corpus : corpora) {
+    // Every third user, then the first six again: 40 queries on the
+    // connected corpus.
     std::vector<UserQuery> queries;
     for (UserId u = 0; u < corpus.data->num_users(); u += 3) {
       queries.push_back({u, 8, candidates});
     }
+    for (UserId u = 0; u < 18; u += 3) queries.push_back({u, 8, candidates});
+    if (corpus.data == connected_) ASSERT_EQ(queries.size(), 40u);
     for (const auto& rec : FitWalkers(*corpus.data, corpus.mu)) {
       const std::string label = rec->name() + " " + corpus.name;
       std::vector<UserQueryResult> expected(queries.size());
@@ -213,17 +219,25 @@ TEST_F(ComponentWalkTest, EveryDeliveryPathIsBitIdentical) {
         ExpectSameResult(manual, expected[i], label + " manual pipeline");
       }
       for (size_t threads : {1u, 8u}) {
-        for (int32_t width : {0, 1, 3}) {
-          for (bool cached : {false, true}) {
-            SubgraphCache cache;
-            BatchOptions options;
-            options.num_threads = threads;
-            options.max_fused_width = width;
-            options.subgraph_cache = cached ? &cache : nullptr;
-            ExpectSameResults(expected, rec->QueryBatch(queries, options),
-                              label + " @" + std::to_string(threads) +
-                                  "t width " + std::to_string(width) +
-                                  (cached ? " cached" : ""));
+        for (bool cached : {false, true}) {
+          std::mutex mu;
+          std::vector<int32_t> widths;
+          const std::function<void(int32_t)> observer = [&](int32_t width) {
+            std::lock_guard<std::mutex> lock(mu);
+            widths.push_back(width);
+          };
+          SubgraphCache cache;
+          BatchOptions options;
+          options.num_threads = threads;
+          options.subgraph_cache = cached ? &cache : nullptr;
+          options.fused_width_observer = &observer;
+          ExpectSameResults(expected, rec->QueryBatch(queries, options),
+                            label + " @" + std::to_string(threads) + "t" +
+                                (cached ? " cached" : ""));
+          if (corpus.data == connected_) {
+            // One payload group, 16-query slices, each one fused sweep.
+            std::sort(widths.begin(), widths.end());
+            EXPECT_EQ(widths, (std::vector<int32_t>{8, 16, 16})) << label;
           }
         }
       }
@@ -249,8 +263,9 @@ TEST_F(ComponentWalkTest, DistinctUsersFuseOnTheirComponent) {
   walk.max_subgraph_items = 0;
   AbsorbingTimeRecommender at(walk);
   ASSERT_TRUE(at.Fit(*connected_).ok());
-  const Subgraph component =
-      ExtractSubgraph(at.graph(), {at.graph().UserNode(0)}, {.max_items = 0});
+  WalkWorkspace ws;
+  const Subgraph& component = ExtractSubgraphInto(
+      at.graph(), {at.graph().UserNode(0)}, {.max_items = 0}, &ws);
   ASSERT_EQ(component.users.size(),
             static_cast<size_t>(connected_->num_users()))
       << "the fixture corpus must be connected";

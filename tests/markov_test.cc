@@ -9,9 +9,21 @@
 namespace longtail {
 namespace {
 
+using testing::ExactValues;
 using testing::MakeFigure2Dataset;
 using testing::MakePathDataset;
 using testing::MakeStarDataset;
+using testing::TruncatedValues;
+using testing::UnitCosts;
+
+/// H(target|·) for every source node: the exact absorbing time of the
+/// one-node absorbing set {target}.
+Result<std::vector<double>> HittingTimes(const BipartiteGraph& g,
+                                         NodeId target) {
+  std::vector<bool> absorbing(g.num_nodes(), false);
+  absorbing[target] = true;
+  return ExactValues(g, absorbing, UnitCosts(g));
+}
 
 // ---------------------------------------------------------------- Exact
 
@@ -21,7 +33,7 @@ TEST(AbsorbingTimeExactTest, SingleEdgeGraph) {
   ASSERT_TRUE(d.ok());
   BipartiteGraph g = BipartiteGraph::FromDataset(*d);
   std::vector<bool> absorbing = {true, false};
-  auto at = AbsorbingTimeExact(g, absorbing);
+  auto at = ExactValues(g, absorbing, UnitCosts(g));
   ASSERT_TRUE(at.ok());
   EXPECT_NEAR((*at)[1], 1.0, 1e-9);
   EXPECT_DOUBLE_EQ((*at)[0], 0.0);
@@ -34,7 +46,7 @@ TEST(AbsorbingTimeExactTest, StarClosedForm) {
     BipartiteGraph g = BipartiteGraph::FromDataset(MakeStarDataset(deg));
     std::vector<bool> absorbing(g.num_nodes(), false);
     absorbing[g.ItemNode(0)] = true;
-    auto at = AbsorbingTimeExact(g, absorbing);
+    auto at = ExactValues(g, absorbing, UnitCosts(g));
     ASSERT_TRUE(at.ok());
     EXPECT_NEAR((*at)[g.UserNode(0)], 2.0 * deg - 1.0, 1e-8) << deg;
     if (deg > 1) {
@@ -49,7 +61,7 @@ TEST(AbsorbingTimeExactTest, PathGamblersRuin) {
   BipartiteGraph g = BipartiteGraph::FromDataset(MakePathDataset(3));
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.UserNode(2)] = true;
-  auto at = AbsorbingTimeExact(g, absorbing);
+  auto at = ExactValues(g, absorbing, UnitCosts(g));
   ASSERT_TRUE(at.ok());
   EXPECT_NEAR((*at)[g.UserNode(0)], 16.0, 1e-8);  // position 0
   EXPECT_NEAR((*at)[g.ItemNode(0)], 15.0, 1e-8);  // position 1
@@ -65,7 +77,7 @@ TEST(AbsorbingTimeExactTest, WeightedTwoItemStar) {
   BipartiteGraph g = BipartiteGraph::FromDataset(*d);
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.ItemNode(0)] = true;
-  auto at = AbsorbingTimeExact(g, absorbing);
+  auto at = ExactValues(g, absorbing, UnitCosts(g));
   ASSERT_TRUE(at.ok());
   EXPECT_NEAR((*at)[g.UserNode(0)], 1.5, 1e-9);
   EXPECT_NEAR((*at)[g.ItemNode(1)], 2.5, 1e-9);
@@ -78,7 +90,7 @@ TEST(AbsorbingTimeExactTest, UnreachableNodesAreInfinite) {
   BipartiteGraph g = BipartiteGraph::FromDataset(*d);
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.UserNode(0)] = true;
-  auto at = AbsorbingTimeExact(g, absorbing);
+  auto at = ExactValues(g, absorbing, UnitCosts(g));
   ASSERT_TRUE(at.ok());
   EXPECT_TRUE(std::isinf((*at)[g.UserNode(1)]));
   EXPECT_TRUE(std::isinf((*at)[g.ItemNode(1)]));
@@ -88,7 +100,7 @@ TEST(AbsorbingTimeExactTest, UnreachableNodesAreInfinite) {
 TEST(AbsorbingTimeExactTest, EmptyAbsorbingSetRejected) {
   BipartiteGraph g = BipartiteGraph::FromDataset(MakeStarDataset(2));
   std::vector<bool> absorbing(g.num_nodes(), false);
-  EXPECT_FALSE(AbsorbingTimeExact(g, absorbing).ok());
+  EXPECT_FALSE(ExactValues(g, absorbing, UnitCosts(g)).ok());
 }
 
 // ------------------------------------------------------------- Figure 2
@@ -99,7 +111,7 @@ TEST(HittingTimeTest, Figure2ReproducesPaperRanking) {
   // values land within ~5% (the paper's normalization is unspecified).
   Dataset d = MakeFigure2Dataset();
   BipartiteGraph g = BipartiteGraph::FromDataset(d);
-  auto h = HittingTimeExact(g, g.UserNode(testing::kU5));
+  auto h = HittingTimes(g, g.UserNode(testing::kU5));
   ASSERT_TRUE(h.ok());
   const double m4 = (*h)[g.ItemNode(testing::kM4)];
   const double m1 = (*h)[g.ItemNode(testing::kM1)];
@@ -120,19 +132,13 @@ TEST(HittingTimeTest, RatedItemsCloserThanPaperExample) {
   // Items U5 actually rated should have the smallest hitting times of all.
   Dataset d = MakeFigure2Dataset();
   BipartiteGraph g = BipartiteGraph::FromDataset(d);
-  auto h = HittingTimeExact(g, g.UserNode(testing::kU5));
+  auto h = HittingTimes(g, g.UserNode(testing::kU5));
   ASSERT_TRUE(h.ok());
   const double m2 = (*h)[g.ItemNode(testing::kM2)];
   const double m3 = (*h)[g.ItemNode(testing::kM3)];
   const double m4 = (*h)[g.ItemNode(testing::kM4)];
   EXPECT_LT(m2, m4);
   EXPECT_LT(m3, m4);
-}
-
-TEST(HittingTimeTest, TargetOutOfRangeRejected) {
-  BipartiteGraph g = BipartiteGraph::FromDataset(MakeStarDataset(2));
-  EXPECT_FALSE(HittingTimeExact(g, -1).ok());
-  EXPECT_FALSE(HittingTimeExact(g, g.num_nodes()).ok());
 }
 
 // ------------------------------------------------------------ Truncated
@@ -142,7 +148,7 @@ TEST(AbsorbingTimeTruncatedTest, AbsorbingStaysZero) {
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.ItemNode(testing::kM2)] = true;
   absorbing[g.ItemNode(testing::kM3)] = true;
-  const auto at = AbsorbingTimeTruncated(g, absorbing, 20);
+  const auto at = TruncatedValues(g, absorbing, UnitCosts(g), 20);
   EXPECT_DOUBLE_EQ(at[g.ItemNode(testing::kM2)], 0.0);
   EXPECT_DOUBLE_EQ(at[g.ItemNode(testing::kM3)], 0.0);
 }
@@ -153,7 +159,7 @@ TEST(AbsorbingTimeTruncatedTest, MonotoneNondecreasingInTau) {
   absorbing[g.UserNode(testing::kU5)] = true;
   std::vector<double> prev(g.num_nodes(), 0.0);
   for (int tau : {1, 2, 4, 8, 16, 32}) {
-    const auto at = AbsorbingTimeTruncated(g, absorbing, tau);
+    const auto at = TruncatedValues(g, absorbing, UnitCosts(g), tau);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       EXPECT_GE(at[v], prev[v] - 1e-12);
     }
@@ -165,9 +171,9 @@ TEST(AbsorbingTimeTruncatedTest, BoundedByAndConvergesToExact) {
   BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.UserNode(testing::kU5)] = true;
-  auto exact = AbsorbingTimeExact(g, absorbing);
+  auto exact = ExactValues(g, absorbing, UnitCosts(g));
   ASSERT_TRUE(exact.ok());
-  const auto truncated = AbsorbingTimeTruncated(g, absorbing, 2000);
+  const auto truncated = TruncatedValues(g, absorbing, UnitCosts(g), 2000);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_LE(truncated[v], (*exact)[v] + 1e-9);
     EXPECT_NEAR(truncated[v], (*exact)[v], 1e-3 * std::max(1.0, (*exact)[v]));
@@ -181,9 +187,9 @@ TEST(AbsorbingTimeTruncatedTest, Tau15PreservesExactRanking) {
   BipartiteGraph g = BipartiteGraph::FromDataset(d);
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.UserNode(testing::kU5)] = true;
-  auto exact = AbsorbingTimeExact(g, absorbing);
+  auto exact = ExactValues(g, absorbing, UnitCosts(g));
   ASSERT_TRUE(exact.ok());
-  const auto truncated = AbsorbingTimeTruncated(g, absorbing, 15);
+  const auto truncated = TruncatedValues(g, absorbing, UnitCosts(g), 15);
   // Compare pairwise orderings over the unrated items (M1, M4, M5, M6).
   const std::vector<ItemId> items = {testing::kM1, testing::kM4, testing::kM5,
                                      testing::kM6};
@@ -204,34 +210,20 @@ TEST(AbsorbingTimeTruncatedTest, ZeroIterationsIsZero) {
   BipartiteGraph g = BipartiteGraph::FromDataset(MakeStarDataset(3));
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.UserNode(0)] = true;
-  const auto at = AbsorbingTimeTruncated(g, absorbing, 0);
+  const auto at = TruncatedValues(g, absorbing, UnitCosts(g), 0);
   for (double v : at) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 // -------------------------------------------------------- Absorbing cost
-
-TEST(AbsorbingCostTest, UnitCostsEqualAbsorbingTime) {
-  // Eq. 8: AC with c ≡ 1 is exactly AT.
-  BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
-  std::vector<bool> absorbing(g.num_nodes(), false);
-  absorbing[g.ItemNode(testing::kM2)] = true;
-  const std::vector<double> unit(g.num_nodes(), 1.0);
-  const auto at = AbsorbingTimeTruncated(g, absorbing, 25);
-  const auto ac = AbsorbingValueTruncated(g, absorbing, unit, 25);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_DOUBLE_EQ(at[v], ac[v]);
-  }
-}
 
 TEST(AbsorbingCostTest, ScalingCostsScalesValues) {
   // With node_cost ≡ c, the fixed point is c · AT.
   BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.UserNode(testing::kU5)] = true;
-  auto at = AbsorbingValueExact(g, absorbing,
-                                std::vector<double>(g.num_nodes(), 1.0));
-  auto scaled = AbsorbingValueExact(g, absorbing,
-                                    std::vector<double>(g.num_nodes(), 2.5));
+  auto at = ExactValues(g, absorbing, UnitCosts(g));
+  auto scaled =
+      ExactValues(g, absorbing, std::vector<double>(g.num_nodes(), 2.5));
   ASSERT_TRUE(at.ok());
   ASSERT_TRUE(scaled.ok());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -244,7 +236,8 @@ TEST(EntropyNodeCostsTest, UserNodesGetConstant) {
   Dataset d = MakeFigure2Dataset();
   BipartiteGraph g = BipartiteGraph::FromDataset(d);
   std::vector<double> entropy(d.num_users(), 0.7);
-  const auto costs = EntropyNodeCosts(g, entropy, 3.0);
+  std::vector<double> costs;
+  EntropyNodeCostsInto(g, entropy, 3.0, &costs);
   for (UserId u = 0; u < d.num_users(); ++u) {
     EXPECT_DOUBLE_EQ(costs[g.UserNode(u)], 3.0);
   }
@@ -260,7 +253,8 @@ TEST(EntropyNodeCostsTest, ItemCostIsExpectedNeighborEntropy) {
   Dataset d = MakeFigure2Dataset();
   BipartiteGraph g = BipartiteGraph::FromDataset(d);
   std::vector<double> entropy = {0.1, 0.2, 0.3, 0.4, 0.5};
-  const auto costs = EntropyNodeCosts(g, entropy, 1.0);
+  std::vector<double> costs;
+  EntropyNodeCostsInto(g, entropy, 1.0, &costs);
   const double expected =
       (5 * 0.2 + 4 * 0.3 + 5 * 0.4 + 5 * 0.5) / (5.0 + 4.0 + 5.0 + 5.0);
   EXPECT_NEAR(costs[g.ItemNode(testing::kM3)], expected, 1e-12);

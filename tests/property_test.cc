@@ -9,12 +9,14 @@
 #include "core/entropy.h"
 #include "core/hitting_time.h"
 #include "data/generator.h"
-#include "graph/markov.h"
-#include "graph/random_walk.h"
 #include "test_util.h"
 
 namespace longtail {
 namespace {
+
+using testing::ExactValues;
+using testing::TruncatedValues;
+using testing::UnitCosts;
 
 // ------------------------------------------------------------------------
 // Property: on random synthetic graphs, for any absorbing set S and any S'
@@ -52,8 +54,8 @@ TEST_P(MarkovPropertyTest, LargerAbsorbingSetShrinksAbsorbingTime) {
   std::vector<bool> large = small;
   large[g.ItemNode(1)] = true;
   large[g.ItemNode(2)] = true;
-  const auto at_small = AbsorbingTimeTruncated(g, small, 30);
-  const auto at_large = AbsorbingTimeTruncated(g, large, 30);
+  const auto at_small = TruncatedValues(g, small, UnitCosts(g), 30);
+  const auto at_large = TruncatedValues(g, large, UnitCosts(g), 30);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_LE(at_large[v], at_small[v] + 1e-9) << "node " << v;
   }
@@ -64,11 +66,11 @@ TEST_P(MarkovPropertyTest, TruncationMonotoneAndBoundedByExact) {
   BipartiteGraph g = BipartiteGraph::FromDataset(d);
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.UserNode(0)] = true;
-  auto exact = AbsorbingTimeExact(g, absorbing);
+  auto exact = ExactValues(g, absorbing, UnitCosts(g));
   ASSERT_TRUE(exact.ok());
   std::vector<double> prev(g.num_nodes(), 0.0);
   for (int tau : {1, 3, 7, 15, 40}) {
-    const auto t = AbsorbingTimeTruncated(g, absorbing, tau);
+    const auto t = TruncatedValues(g, absorbing, UnitCosts(g), tau);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       EXPECT_GE(t[v], prev[v] - 1e-9);
       if (std::isfinite((*exact)[v])) {
@@ -79,18 +81,6 @@ TEST_P(MarkovPropertyTest, TruncationMonotoneAndBoundedByExact) {
   }
 }
 
-TEST_P(MarkovPropertyTest, StationaryDistributionIsFixedPoint) {
-  Dataset d = MakeData();
-  BipartiteGraph g = BipartiteGraph::FromDataset(d);
-  const auto pi = StationaryDistribution(g);
-  CsrMatrix p = TransitionMatrix(g);
-  std::vector<double> next;
-  p.MultiplyTranspose(pi, &next);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_NEAR(next[v], pi[v], 1e-10);
-  }
-}
-
 TEST_P(MarkovPropertyTest, ExactSolutionSatisfiesRecurrence) {
   // Spot-check Eq. 6: AT(S|i) = 1 + Σ p_ij AT(S|j) on every transient node.
   Dataset d = MakeData();
@@ -98,7 +88,7 @@ TEST_P(MarkovPropertyTest, ExactSolutionSatisfiesRecurrence) {
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.ItemNode(0)] = true;
   absorbing[g.UserNode(0)] = true;
-  auto at = AbsorbingTimeExact(g, absorbing);
+  auto at = ExactValues(g, absorbing, UnitCosts(g));
   ASSERT_TRUE(at.ok());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (absorbing[v] || !std::isfinite((*at)[v])) continue;

@@ -1,78 +1,19 @@
-#include "graph/random_walk.h"
+// The Monte-Carlo simulator: steps follow the weighted transitions, and
+// simulated absorbing times agree with the exact solve.
+#include "random_walk_simulator.h"
 
 #include <gtest/gtest.h>
 
-#include "graph/markov.h"
 #include "test_util.h"
 
 namespace longtail {
 namespace {
 
+using testing::ExactValues;
 using testing::MakeFigure2Dataset;
 using testing::MakeStarDataset;
-
-TEST(StationaryDistributionTest, SumsToOne) {
-  BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
-  const auto pi = StationaryDistribution(g);
-  double total = 0.0;
-  for (double p : pi) total += p;
-  EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-TEST(StationaryDistributionTest, ProportionalToWeightedDegree) {
-  // Eq. 2: π_i = d_i / Σ d_j.
-  BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
-  const auto pi = StationaryDistribution(g);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_NEAR(pi[v], g.WeightedDegree(v) / g.TotalWeight(), 1e-12);
-  }
-}
-
-TEST(StationaryDistributionTest, IsFixedPointOfTransition) {
-  // πᵀ P = πᵀ for the reversible walk.
-  BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
-  const auto pi = StationaryDistribution(g);
-  CsrMatrix p = TransitionMatrix(g);
-  std::vector<double> next;
-  p.MultiplyTranspose(pi, &next);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_NEAR(next[v], pi[v], 1e-12);
-  }
-}
-
-TEST(TransitionMatrixTest, RowsAreStochastic) {
-  BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
-  CsrMatrix p = TransitionMatrix(g);
-  for (int32_t r = 0; r < p.rows(); ++r) {
-    EXPECT_NEAR(p.RowSum(r), 1.0, 1e-12);
-  }
-}
-
-TEST(TransitionMatrixTest, TimeReversibility) {
-  // π_i p_ij = π_j p_ji (§3.3).
-  BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
-  CsrMatrix p = TransitionMatrix(g);
-  const auto pi = StationaryDistribution(g);
-  for (int32_t i = 0; i < p.rows(); ++i) {
-    const auto idx = p.RowIndices(i);
-    const auto val = p.RowValues(i);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      const int32_t j = idx[k];
-      EXPECT_NEAR(pi[i] * val[k], pi[j] * p.At(j, i), 1e-12);
-    }
-  }
-}
-
-TEST(TransitionMatrixTest, WeightedProbabilities) {
-  // U5 rated M2=4 and M3=5: p(U5→M3) = 5/9.
-  Dataset d = MakeFigure2Dataset();
-  BipartiteGraph g = BipartiteGraph::FromDataset(d);
-  CsrMatrix p = TransitionMatrix(g);
-  EXPECT_NEAR(p.At(g.UserNode(testing::kU5), g.ItemNode(testing::kM3)),
-              5.0 / 9.0, 1e-12);
-  EXPECT_NEAR(p.At(g.UserNode(testing::kU5), g.ItemNode(testing::kM2)),
-              4.0 / 9.0, 1e-12);
-}
+using testing::RandomWalkSimulator;
+using testing::UnitCosts;
 
 TEST(SimulatorTest, StepReachesOnlyNeighbors) {
   BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
@@ -113,7 +54,7 @@ TEST(SimulatorTest, MonteCarloMatchesExactOnFigure2) {
   BipartiteGraph g = BipartiteGraph::FromDataset(d);
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.UserNode(testing::kU5)] = true;
-  auto exact = AbsorbingTimeExact(g, absorbing);
+  auto exact = ExactValues(g, absorbing, UnitCosts(g));
   ASSERT_TRUE(exact.ok());
   RandomWalkSimulator sim(&g);
   Rng rng(6);

@@ -18,7 +18,9 @@ TEST(SubgraphTest, FullGraphWhenUncapped) {
   BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
   SubgraphOptions options;
   options.max_items = 0;  // no cap
-  Subgraph sub = ExtractSubgraph(g, {g.UserNode(testing::kU5)}, options);
+  WalkWorkspace ws;
+  const Subgraph& sub =
+      ExtractSubgraphInto(g, {g.UserNode(testing::kU5)}, options, &ws);
   // Figure 2's graph is connected, so everything is reached.
   EXPECT_EQ(sub.users.size(), 5u);
   EXPECT_EQ(sub.items.size(), 6u);
@@ -29,7 +31,9 @@ TEST(SubgraphTest, SeedAlwaysIncluded) {
   BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
   SubgraphOptions options;
   options.max_items = 1;
-  Subgraph sub = ExtractSubgraph(g, {g.ItemNode(testing::kM4)}, options);
+  WalkWorkspace ws;
+  const Subgraph& sub =
+      ExtractSubgraphInto(g, {g.ItemNode(testing::kM4)}, options, &ws);
   EXPECT_GE(sub.items.size(), 1u);
   EXPECT_GE(sub.LocalItemNode(testing::kM4), 0);
 }
@@ -42,7 +46,8 @@ TEST(SubgraphTest, RespectsItemCapApproximately) {
   BipartiteGraph g = BipartiteGraph::FromDataset(data->dataset);
   SubgraphOptions options;
   options.max_items = 30;
-  Subgraph sub = ExtractSubgraph(g, {g.UserNode(0)}, options);
+  WalkWorkspace ws;
+  const Subgraph& sub = ExtractSubgraphInto(g, {g.UserNode(0)}, options, &ws);
   EXPECT_GE(static_cast<int32_t>(sub.items.size()), 1);
   EXPECT_LE(static_cast<int32_t>(sub.items.size()), options.max_items + 1);
 }
@@ -51,7 +56,9 @@ TEST(SubgraphTest, MappingsRoundTrip) {
   BipartiteGraph g = BipartiteGraph::FromDataset(MakeFigure2Dataset());
   SubgraphOptions options;
   options.max_items = 0;
-  Subgraph sub = ExtractSubgraph(g, {g.UserNode(testing::kU5)}, options);
+  WalkWorkspace ws;
+  const Subgraph& sub =
+      ExtractSubgraphInto(g, {g.UserNode(testing::kU5)}, options, &ws);
   for (size_t lu = 0; lu < sub.users.size(); ++lu) {
     EXPECT_EQ(sub.LocalUserNode(sub.users[lu]), static_cast<NodeId>(lu));
   }
@@ -68,7 +75,9 @@ TEST(SubgraphTest, InducedWeightsMatchOriginal) {
   BipartiteGraph g = BipartiteGraph::FromDataset(d);
   SubgraphOptions options;
   options.max_items = 0;
-  Subgraph sub = ExtractSubgraph(g, {g.UserNode(testing::kU5)}, options);
+  WalkWorkspace ws;
+  const Subgraph& sub =
+      ExtractSubgraphInto(g, {g.UserNode(testing::kU5)}, options, &ws);
   // Every induced edge weight equals the original rating.
   for (size_t lu = 0; lu < sub.users.size(); ++lu) {
     const NodeId local = static_cast<NodeId>(lu);
@@ -88,7 +97,8 @@ TEST(SubgraphTest, DisconnectedComponentExcluded) {
   BipartiteGraph g = BipartiteGraph::FromDataset(*d);
   SubgraphOptions options;
   options.max_items = 0;
-  Subgraph sub = ExtractSubgraph(g, {g.UserNode(0)}, options);
+  WalkWorkspace ws;
+  const Subgraph& sub = ExtractSubgraphInto(g, {g.UserNode(0)}, options, &ws);
   EXPECT_EQ(sub.users.size(), 1u);
   EXPECT_EQ(sub.items.size(), 1u);
   EXPECT_EQ(sub.LocalUserNode(1), -1);
@@ -100,7 +110,8 @@ TEST(SubgraphTest, BfsLevelsExpandOutward) {
   BipartiteGraph g = BipartiteGraph::FromDataset(MakePathDataset(6));
   SubgraphOptions options;
   options.max_items = 2;
-  Subgraph sub = ExtractSubgraph(g, {g.UserNode(0)}, options);
+  WalkWorkspace ws;
+  const Subgraph& sub = ExtractSubgraphInto(g, {g.UserNode(0)}, options, &ws);
   // Items are i0..i4 along the path; the closest ones are kept.
   EXPECT_GE(sub.LocalItemNode(0), 0);
   EXPECT_EQ(sub.LocalItemNode(4), -1);
@@ -110,8 +121,9 @@ TEST(SubgraphTest, MultipleSeeds) {
   BipartiteGraph g = BipartiteGraph::FromDataset(MakePathDataset(6));
   SubgraphOptions options;
   options.max_items = 1;
-  Subgraph sub = ExtractSubgraph(
-      g, {g.UserNode(0), g.UserNode(5)}, options);
+  WalkWorkspace ws;
+  const Subgraph& sub =
+      ExtractSubgraphInto(g, {g.UserNode(0), g.UserNode(5)}, options, &ws);
   EXPECT_GE(sub.LocalUserNode(0), 0);
   EXPECT_GE(sub.LocalUserNode(5), 0);
 }
@@ -134,8 +146,9 @@ TEST(SubgraphTest, DrainedExtractionIsSortedAscending) {
   for (int32_t mu : {0, 6, 100}) {
     SubgraphOptions options;
     options.max_items = mu;
-    Subgraph sub = ExtractSubgraph(
-        g, {g.UserNode(testing::kU5), g.ItemNode(testing::kM3)}, options);
+    WalkWorkspace ws;
+    const Subgraph& sub = ExtractSubgraphInto(
+      g, {g.UserNode(testing::kU5), g.ItemNode(testing::kM3)}, options, &ws);
     EXPECT_EQ(sub.users, (std::vector<UserId>{0, 1, 2, 3, 4})) << "mu " << mu;
     EXPECT_EQ(sub.items, (std::vector<ItemId>{0, 1, 2, 3, 4, 5}))
         << "mu " << mu;
@@ -150,12 +163,13 @@ TEST(SubgraphTest, DrainedExtractionIsSeedIndependent) {
   BipartiteGraph g = BipartiteGraph::FromDataset(data->dataset);
   SubgraphOptions options;
   options.max_items = 0;
-  const Subgraph a = ExtractSubgraph(g, {g.UserNode(0)}, options);
+  WalkWorkspace ws_a;
+  WalkWorkspace ws_b;
+  const Subgraph& a = ExtractSubgraphInto(g, {g.UserNode(0)}, options, &ws_a);
   ASSERT_GT(a.items.size(), 1u);
   const NodeId far_item = g.ItemNode(a.items.back());
-  WalkWorkspace ws;
   const Subgraph& b = ExtractSubgraphInto(
-      g, {far_item, g.UserNode(a.users.back())}, options, &ws);
+      g, {far_item, g.UserNode(a.users.back())}, options, &ws_b);
   EXPECT_TRUE(std::ranges::is_sorted(a.users));
   EXPECT_TRUE(std::ranges::is_sorted(a.items));
   EXPECT_EQ(a.users, b.users);
@@ -170,7 +184,8 @@ TEST(SubgraphTest, TruncatedExtractionKeepsBfsOrder) {
   BipartiteGraph g = BipartiteGraph::FromDataset(MakePathDataset(6));
   SubgraphOptions options;
   options.max_items = 2;
-  Subgraph sub = ExtractSubgraph(g, {g.UserNode(5)}, options);
+  WalkWorkspace ws;
+  const Subgraph& sub = ExtractSubgraphInto(g, {g.UserNode(5)}, options, &ws);
   EXPECT_EQ(sub.users, (std::vector<UserId>{5, 4, 3}));
   EXPECT_EQ(sub.items, (std::vector<ItemId>{4, 3, 2}));
 }

@@ -1,5 +1,6 @@
-// Shared fixtures for longtail tests: the paper's Figure 2 example and
-// small closed-form graphs.
+// Shared fixtures for longtail tests: the paper's Figure 2 example, small
+// closed-form graphs, and the absorbing-value recurrence (graph/markov.h)
+// solved through the entry points the walkers serve with.
 #ifndef LONGTAIL_TESTS_TEST_UTIL_H_
 #define LONGTAIL_TESTS_TEST_UTIL_H_
 
@@ -7,6 +8,8 @@
 
 #include "data/dataset.h"
 #include "graph/bipartite_graph.h"
+#include "graph/markov.h"
+#include "graph/walk_kernel.h"
 #include "util/logging.h"
 
 namespace longtail {
@@ -56,6 +59,43 @@ inline Dataset MakePathDataset(int num_users) {
   auto result = Dataset::Create(num_users, num_users - 1, std::move(ratings));
   LT_CHECK(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+/// Unit node costs: the recurrence's values are then absorbing times, and
+/// with a one-node absorbing set {q}, hitting times H(q|·) (Def. 1).
+inline std::vector<double> UnitCosts(const BipartiteGraph& g) {
+  return std::vector<double>(g.num_nodes(), 1.0);
+}
+
+/// τ truncated sweeps of the recurrence on `kernel` (rebuilt for `g`; a
+/// fresh one when null): BuildTransitions, CompileAbsorbingSweep and
+/// SweepTruncated, the full sweep whose item rows the walkers' ranking
+/// sweep reproduces bit for bit. Every row of the result is valid.
+inline std::vector<double> TruncatedValues(const BipartiteGraph& g,
+                                           const std::vector<bool>& absorbing,
+                                           const std::vector<double>& node_cost,
+                                           int iterations,
+                                           WalkKernel* kernel = nullptr) {
+  WalkKernel fresh;
+  if (kernel == nullptr) kernel = &fresh;
+  kernel->BuildTransitions(g, WalkNormalization::kRowStochastic);
+  kernel->CompileAbsorbingSweep(absorbing, node_cost);
+  std::vector<double> value;
+  std::vector<double> scratch;
+  kernel->SweepTruncated(iterations, &value, &scratch);
+  return value;
+}
+
+/// The exact fixed point through AbsorbingValueExactInto, the solver behind
+/// GraphWalkOptions::exact, at default SolverOptions.
+inline Result<std::vector<double>> ExactValues(
+    const BipartiteGraph& g, const std::vector<bool>& absorbing,
+    const std::vector<double>& node_cost) {
+  std::vector<double> value;
+  SolverScratch scratch;
+  LT_RETURN_IF_ERROR(
+      AbsorbingValueExactInto(g, absorbing, node_cost, {}, &value, &scratch));
+  return value;
 }
 
 }  // namespace testing

@@ -2,8 +2,9 @@
 // sweeps must agree with the retained reference loop
 // (AbsorbingValueTruncatedReference) on random bipartite graphs — including
 // isolated nodes, all-absorbing and empty-absorbing sets, and empty
-// subgraphs — and the kernel-served recommenders must stay bit-identical
-// between the sequential and batch paths at 1 and 8 threads.
+// subgraphs — and fused, shared-plan and AVX2 sweeps must be bit-identical
+// to the sequential generic sweep. Recommender-level batch parity lives in
+// batch_parity_test and component_walk_test.
 //
 // Tolerance contract (documented in docs/KERNELS.md): the kernel
 // pre-divides weights by degree and re-associates the row sum, so ordinary
@@ -18,16 +19,15 @@
 #include <thread>
 #include <vector>
 
-#include "core/absorbing_cost.h"
-#include "core/absorbing_time.h"
-#include "core/hitting_time.h"
-#include "data/generator.h"
 #include "graph/markov.h"
 #include "graph/subgraph.h"
 #include "graph/walk_kernel.h"
+#include "test_util.h"
 
 namespace longtail {
 namespace {
+
+using testing::TruncatedValues;
 
 /// Random bipartite graph with `edge_prob` density; users/items past the
 /// `connected_*` counts are left isolated on purpose.
@@ -73,11 +73,11 @@ void ExpectSweepParity(const BipartiteGraph& g,
                        const std::vector<bool>& absorbing,
                        const std::vector<double>& costs, int iterations,
                        const std::string& label) {
-  std::vector<double> ref, ref_scratch, ker, ker_scratch;
+  std::vector<double> ref, ref_scratch;
   AbsorbingValueTruncatedReference(g, absorbing, costs, iterations, &ref,
                                    &ref_scratch);
-  AbsorbingValueTruncated(g, absorbing, costs, iterations, &ker,
-                          &ker_scratch);
+  const std::vector<double> ker =
+      TruncatedValues(g, absorbing, costs, iterations);
   ASSERT_EQ(ref.size(), ker.size()) << label;
   for (size_t v = 0; v < ref.size(); ++v) {
     const double tol =
@@ -127,11 +127,9 @@ TEST(WalkKernelTest, MatchesReferenceOnRandomGraphs) {
 TEST(WalkKernelTest, AllAbsorbingIsExactlyZero) {
   const BipartiteGraph g = RandomGraph(20, 25, 0.2, 7);
   const std::vector<bool> absorbing(g.num_nodes(), true);
-  std::vector<double> value, scratch;
-  AbsorbingValueTruncated(g, absorbing,
-                          std::vector<double>(g.num_nodes(), 1.0), 15,
-                          &value, &scratch);
-  for (double v : value) EXPECT_EQ(0.0, v);
+  for (double v : TruncatedValues(g, absorbing, testing::UnitCosts(g), 15)) {
+    EXPECT_EQ(0.0, v);
+  }
 }
 
 TEST(WalkKernelTest, EmptyAbsorbingSetMatchesReference) {
@@ -145,10 +143,9 @@ TEST(WalkKernelTest, EmptyAbsorbingSetMatchesReference) {
 
 TEST(WalkKernelTest, ZeroIterationsLeavesZeros) {
   const BipartiteGraph g = RandomGraph(10, 10, 0.3, 21);
-  std::vector<double> value, scratch;
-  AbsorbingValueTruncated(g, RandomAbsorbing(g.num_nodes(), 0.3, 22),
-                          std::vector<double>(g.num_nodes(), 1.0), 0, &value,
-                          &scratch);
+  const std::vector<double> value =
+      TruncatedValues(g, RandomAbsorbing(g.num_nodes(), 0.3, 22),
+                      testing::UnitCosts(g), 0);
   ASSERT_EQ(static_cast<size_t>(g.num_nodes()), value.size());
   for (double v : value) EXPECT_EQ(0.0, v);
 }
@@ -159,14 +156,9 @@ TEST(WalkKernelTest, EmptySeedSubgraphAndEmptyGraph) {
   WalkWorkspace ws;
   const Subgraph& sub = ExtractSubgraphInto(g, {}, SubgraphOptions{}, &ws);
   EXPECT_EQ(0, sub.graph.num_nodes());
-  std::vector<double> value, scratch;
-  AbsorbingValueTruncated(sub.graph, {}, {}, 15, &ws.kernel, &value,
-                          &scratch);
-  EXPECT_TRUE(value.empty());
-  // Default-constructed (empty) graph through the allocating flavour.
-  const std::vector<double> empty =
-      AbsorbingValueTruncated(BipartiteGraph(), {}, {}, 15);
-  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(TruncatedValues(sub.graph, {}, {}, 15, &ws.kernel).empty());
+  // Default-constructed (empty) graph on a fresh kernel.
+  EXPECT_TRUE(TruncatedValues(BipartiteGraph(), {}, {}, 15).empty());
 }
 
 TEST(WalkKernelTest, RebuildAcrossQueriesMatchesFreshKernel) {
@@ -181,10 +173,9 @@ TEST(WalkKernelTest, RebuildAcrossQueriesMatchesFreshKernel) {
     const int32_t n = g.num_nodes();
     const auto absorbing = RandomAbsorbing(n, 0.25, ++seed);
     const auto costs = RandomCosts(n, ++seed);
-    std::vector<double> fresh, fresh_scratch, reused_value, reused_scratch;
-    AbsorbingValueTruncated(g, absorbing, costs, 10, &fresh, &fresh_scratch);
-    AbsorbingValueTruncated(g, absorbing, costs, 10, &reused, &reused_value,
-                            &reused_scratch);
+    const std::vector<double> fresh = TruncatedValues(g, absorbing, costs, 10);
+    const std::vector<double> reused_value =
+        TruncatedValues(g, absorbing, costs, 10, &reused);
     ASSERT_EQ(fresh.size(), reused_value.size());
     for (size_t v = 0; v < fresh.size(); ++v) {
       EXPECT_EQ(fresh[v], reused_value[v]) << "query " << query;
@@ -533,59 +524,6 @@ TEST(WalkKernelTest, FusedBatchSharedPlanParityAtOneAndEightThreads) {
                     blocks[t][static_cast<size_t>(v) * kWidth + q])
               << threads << "t worker " << t << " lane " << q << " item row "
               << v;
-        }
-      }
-    }
-  }
-}
-
-// The kernel serves every production path; sequential and batch results
-// must therefore stay bit-identical at any thread count.
-TEST(WalkKernelTest, RecommenderBatchParityAtOneAndEightThreads) {
-  SyntheticSpec spec;
-  spec.num_users = 90;
-  spec.num_items = 70;
-  spec.mean_user_degree = 9;
-  spec.min_user_degree = 3;
-  spec.num_genres = 5;
-  spec.seed = 777;
-  auto data = GenerateSyntheticData(spec);
-  ASSERT_TRUE(data.ok());
-  const Dataset& train = data->dataset;
-
-  std::vector<std::unique_ptr<Recommender>> suite;
-  suite.push_back(std::make_unique<HittingTimeRecommender>());
-  suite.push_back(std::make_unique<AbsorbingTimeRecommender>());
-  AbsorbingCostOptions ac;
-  suite.push_back(std::make_unique<AbsorbingCostRecommender>(
-      EntropySource::kItemBased, ac));
-  for (auto& rec : suite) ASSERT_TRUE(rec->Fit(train).ok()) << rec->name();
-
-  std::vector<UserId> users;
-  for (UserId u = 0; u < 40; ++u) users.push_back(u);
-  for (const auto& rec : suite) {
-    std::vector<std::vector<ScoredItem>> sequential;
-    for (UserId u : users) {
-      auto top = rec->RecommendTopK(u, 10);
-      ASSERT_TRUE(top.ok()) << rec->name() << " user " << u;
-      sequential.push_back(std::move(top).value());
-    }
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      BatchOptions options;
-      options.num_threads = threads;
-      const auto batch = rec->RecommendBatch(users, 10, options);
-      ASSERT_EQ(users.size(), batch.size());
-      for (size_t i = 0; i < users.size(); ++i) {
-        ASSERT_TRUE(batch[i].ok()) << rec->name();
-        const auto& expected = sequential[i];
-        const auto& actual = *batch[i];
-        ASSERT_EQ(expected.size(), actual.size())
-            << rec->name() << " @" << threads << "t user " << users[i];
-        for (size_t k = 0; k < expected.size(); ++k) {
-          EXPECT_EQ(expected[k].item, actual[k].item)
-              << rec->name() << " @" << threads << "t user " << users[i];
-          EXPECT_EQ(expected[k].score, actual[k].score)
-              << rec->name() << " @" << threads << "t user " << users[i];
         }
       }
     }

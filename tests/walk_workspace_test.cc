@@ -1,12 +1,11 @@
-// WalkWorkspace: the workspace extraction path must produce subgraphs
-// identical to the allocating path, invalidate stale lookups between
-// queries in O(1), and reuse its buffers across graphs of different sizes.
+// WalkWorkspace: a reused workspace must extract exactly what a fresh one
+// does, invalidate stale lookups between queries in O(1), and reuse its
+// buffers across graphs of different sizes.
 #include "graph/subgraph.h"
 
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
-#include "graph/markov.h"
 #include "test_util.h"
 
 namespace longtail {
@@ -42,7 +41,7 @@ void ExpectSameSubgraph(const Subgraph& expected, const Subgraph& actual,
   }
 }
 
-TEST(WalkWorkspaceTest, MatchesAllocatingExtraction) {
+TEST(WalkWorkspaceTest, ReusedWorkspaceMatchesFreshOne) {
   const Dataset d = MakeFigure2Dataset();
   const BipartiteGraph g = BipartiteGraph::FromDataset(d);
   WalkWorkspace workspace;
@@ -50,14 +49,15 @@ TEST(WalkWorkspaceTest, MatchesAllocatingExtraction) {
     SubgraphOptions options;
     options.max_items = 0;
     const std::vector<NodeId> seeds = {g.UserNode(u)};
-    const Subgraph expected = ExtractSubgraph(g, seeds, options);
+    WalkWorkspace fresh;
+    const Subgraph& expected = ExtractSubgraphInto(g, seeds, options, &fresh);
     const Subgraph& actual = ExtractSubgraphInto(g, seeds, options,
                                                  &workspace);
     ExpectSameSubgraph(expected, actual, g);
   }
 }
 
-TEST(WalkWorkspaceTest, MatchesAllocatingExtractionWithCap) {
+TEST(WalkWorkspaceTest, ReusedWorkspaceMatchesFreshOneWithCap) {
   auto data = GenerateSyntheticData(SyntheticSpec::MovieLensLike(0.02));
   ASSERT_TRUE(data.ok());
   const Dataset& d = data->dataset;
@@ -67,7 +67,8 @@ TEST(WalkWorkspaceTest, MatchesAllocatingExtractionWithCap) {
   options.max_items = 40;
   for (UserId u = 0; u < std::min<UserId>(25, d.num_users()); ++u) {
     const std::vector<NodeId> seeds = {g.UserNode(u)};
-    const Subgraph expected = ExtractSubgraph(g, seeds, options);
+    WalkWorkspace fresh;
+    const Subgraph& expected = ExtractSubgraphInto(g, seeds, options, &fresh);
     const Subgraph& actual = ExtractSubgraphInto(g, seeds, options,
                                                  &workspace);
     ExpectSameSubgraph(expected, actual, g);
@@ -123,30 +124,14 @@ TEST(WalkWorkspaceTest, ReusableAcrossGraphs) {
   EXPECT_EQ(s3.users.size(), 3u);
 }
 
-// The workspace DP overload must agree exactly with the allocating one.
-TEST(WalkWorkspaceTest, TruncatedDpOverloadMatches) {
+// Solver scratch reused across queries must not change the exact solve.
+TEST(WalkWorkspaceTest, ExactSolveReusesScratch) {
   const Dataset d = MakeFigure2Dataset();
   const BipartiteGraph g = BipartiteGraph::FromDataset(d);
   std::vector<bool> absorbing(g.num_nodes(), false);
   absorbing[g.ItemNode(0)] = true;
-  const std::vector<double> unit(g.num_nodes(), 1.0);
-  const std::vector<double> expected =
-      AbsorbingValueTruncated(g, absorbing, unit, 15);
-  std::vector<double> value;
-  std::vector<double> scratch;
-  for (int round = 0; round < 3; ++round) {
-    AbsorbingValueTruncated(g, absorbing, unit, 15, &value, &scratch);
-    EXPECT_EQ(expected, value) << "round " << round;
-  }
-}
-
-TEST(WalkWorkspaceTest, ExactOverloadMatches) {
-  const Dataset d = MakeFigure2Dataset();
-  const BipartiteGraph g = BipartiteGraph::FromDataset(d);
-  std::vector<bool> absorbing(g.num_nodes(), false);
-  absorbing[g.ItemNode(0)] = true;
-  const std::vector<double> unit(g.num_nodes(), 1.0);
-  auto expected = AbsorbingValueExact(g, absorbing, unit);
+  const std::vector<double> unit = testing::UnitCosts(g);
+  auto expected = testing::ExactValues(g, absorbing, unit);
   ASSERT_TRUE(expected.ok());
   std::vector<double> value;
   SolverScratch scratch;

@@ -256,7 +256,8 @@ TEST_F(WarmPathCacheTest, PayloadNodeIndexMatchesFreshExtraction) {
   SubgraphOptions options;
   options.max_items = 40;
 
-  const Subgraph fresh = ExtractSubgraph(g, seeds, options);
+  WalkWorkspace fresh_ws;
+  const Subgraph& fresh = ExtractSubgraphInto(g, seeds, options, &fresh_ws);
   SubgraphCache cache;
   WalkWorkspace ws;
   cache.GetOrExtract(g, seeds, options, &ws);  // cold: insert
