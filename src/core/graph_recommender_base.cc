@@ -435,16 +435,18 @@ std::vector<UserQueryResult> GraphRecommenderBase::QueryBatch(
   // Phase B: split the groups into dispatch slices of at most 16 queries,
   // so one giant group (every warm query hitting one hot user's subgraph)
   // still spreads across pool workers; RunGroup re-chunks a slice further
-  // if the probed per-subgraph lane cap is smaller.
-  constexpr size_t kSliceWidth = 16;
+  // if the probed per-subgraph lane cap is smaller. Exact members go one
+  // per slice: their solve has no fused form, and its cost varies widely by
+  // user (HT's can run to the sweep cap), so grain 1 keeps them balanced.
+  const size_t slice_width = options_.exact ? 1 : 16;
   struct Slice {
     const SubgraphKey* key;
     std::span<const size_t> members;
   };
   std::vector<Slice> slices;
   for (const auto& [key, members] : by_subgraph) {
-    for (size_t b = 0; b < members.size(); b += kSliceWidth) {
-      const size_t count = std::min(kSliceWidth, members.size() - b);
+    for (size_t b = 0; b < members.size(); b += slice_width) {
+      const size_t count = std::min(slice_width, members.size() - b);
       slices.push_back({&key, std::span(members).subspan(b, count)});
     }
   }

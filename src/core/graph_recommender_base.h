@@ -83,10 +83,11 @@ class GraphRecommenderBase : public Recommender {
   /// sets are identical (extraction being a pure function of (graph,
   /// seeds, µ)). The shared subgraph is resolved once, each query compiles
   /// its own absorbing lane, and a single CSR pass per truncated iteration
-  /// advances all lanes (SpMV → SpMM; see docs/KERNELS.md). Exact-solver
-  /// walkers group the same way and solve each member on the shared
-  /// subgraph. Groups fan out on the long-lived ServingPool in slices of
-  /// at most 16 queries, with one pinned WalkWorkspace per worker thread.
+  /// advances all lanes (SpMV → SpMM; see docs/KERNELS.md). Groups fan
+  /// out on the long-lived ServingPool in slices of at most 16 queries,
+  /// with one pinned WalkWorkspace per worker thread. Exact-solver walkers
+  /// group the same way but dispatch one query per slice: the exact solve
+  /// has no fused form and its cost varies widely by user.
   /// Results are bit-identical to the single-user calls at any thread
   /// count, with or without a subgraph cache.
   std::vector<UserQueryResult> QueryBatch(

@@ -245,9 +245,7 @@ TEST_F(BatchParityTest, FusedGroupingMatchesSingletonCallsAcrossThreads) {
 // Exact-solver configurations group queries the same way and solve each
 // member on the shared subgraph; with duplicate users, at the default µ
 // (one payload group) and where µ binds (groups of equal seed sets), every
-// batch must equal the per-query calls — statuses included: HT's
-// Gauss–Seidel solve does not converge for some of these users, and the
-// batch must fail exactly those.
+// batch must equal the per-query calls, statuses included.
 TEST_F(BatchParityTest, ExactSolverBatchMatchesSequential) {
   std::vector<UserId> users = TestUsers();
   for (UserId u = 0; u < 10; ++u) users.push_back(u);
@@ -256,13 +254,23 @@ TEST_F(BatchParityTest, ExactSolverBatchMatchesSequential) {
     walk.exact = true;
     walk.max_subgraph_items = mu;
     for (const auto& rec : BuildSuite(walk)) {
+      // Every exact solve converges except HT's on the whole component:
+      // there the Gauss–Seidel solve runs out of sweeps for these users (a
+      // known solver defect). They are pinned so the defect stays visible
+      // and any other failing solve fails this test.
+      std::vector<UserId> known_unsolved;
+      if (mu == 6000 && rec->name() == "HT") known_unsolved = {7, 30, 7};
       std::vector<Result<std::vector<ScoredItem>>> expected;
-      size_t solved = 0;
+      std::vector<UserId> unsolved;
       for (UserId u : users) {
         expected.push_back(rec->RecommendTopK(u, 8));
-        if (expected.back().ok()) ++solved;
+        if (expected.back().ok()) continue;
+        unsolved.push_back(u);
+        EXPECT_EQ(expected.back().status().code(), StatusCode::kInternal)
+            << rec->name() << " mu " << mu << " user " << u << ": "
+            << expected.back().status().ToString();
       }
-      EXPECT_GT(solved, users.size() / 2) << rec->name() << " mu " << mu;
+      EXPECT_EQ(unsolved, known_unsolved) << rec->name() << " mu " << mu;
       for (size_t threads : {1u, 4u}) {
         BatchOptions options;
         options.num_threads = threads;
